@@ -15,12 +15,12 @@ class SelectionAndTestsBench extends SparkSpec {
   private lazy val selRuns  = Experiments.selectionSweep(spark)
 
   test("print Fig. 7 data (distribution tests)") {
-    println(s"== Fig. 7 data: distribution tests × AL (budget 1000, sf=${Experiments.benchSf}) ==")
+    println(s"== Fig. 7 data: distribution tests × AL (budget 1000, sf=${Experiments.benchSfAux}) ==")
     println(Experiments.formatRuns(distRuns))
   }
 
   test("print Fig. 8 data (selection strategies)") {
-    println(s"== Fig. 8 data: sel_base vs sel_cov (Bootstrap, budget 1000) ==")
+    println(s"== Fig. 8 data: sel_base vs sel_cov (Bootstrap, budget 1000, sf=${Experiments.benchSfAux}) ==")
     println(Experiments.formatRuns(selRuns))
   }
 

@@ -18,7 +18,7 @@ class Table5InitRatioBench extends SparkSpec {
     rows.find(x => x.budget == b && x.ratioInit == r && x.alName == al).get
 
   test("print Table 5") {
-    println(s"== Table 5: initial-ratio sweep on Dexter (sf=${Experiments.benchSf}) ==")
+    println(s"== Table 5: initial-ratio sweep on Dexter (sf=${Experiments.benchSfAux}) ==")
     println("paper (Almser):    1000/30% 0.83±0.067 | 1000/50% 0.934±0.001 | " +
       "1500/30% 0.939±0.003 | 1500/50% 0.94±0.001 | 2000/30% 0.84±0.029 | 2000/50% 0.93±0.001")
     println("paper (Bootstrap): 1000/30% 0.90±0.029 | 1000/50% 0.89±0.012 | " +

@@ -1,6 +1,7 @@
 package repro.al
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.ml.PoolVector
 
@@ -42,9 +43,52 @@ trait ActiveLearner extends Serializable {
 }
 
 object ActiveLearner {
-  /** Stable per-pair key for "already labeled" bookkeeping. */
-  def pairKey(r: Row): String =
-    s"${r.getAs[String]("problemId")}|${r.getAs[Long]("recA")}|${r.getAs[Long]("recB")}"
+
+  /** The AL selection loop every learner shares; a learner supplies only
+    * `score`. Given the vectors labeled so far and the iteration number,
+    * it returns every pool row with a `score` column (highest is labeled
+    * first) and the broadcasts to release once the batch is picked.
+    * A pool no larger than the budget is labeled whole. Otherwise
+    * the loop starts from `warmStart` and labels the `batchSize`
+    * best-scored unlabeled pairs per iteration (ties broken by pair id)
+    * until the budget is spent or the pool runs dry.
+    */
+  def selectByScore(pool: DataFrame, budget: Int, cfg: ALConfig)(
+      score: (IndexedSeq[PoolVector], Int) => (DataFrame, Seq[Broadcast[_]]),
+  ): IndexedSeq[PoolVector] = {
+    val stats = pool.agg(count(lit(1)), min(least(col("recA"), col("recB"))),
+      max(greatest(col("recA"), col("recB")))).collect()(0)
+    if (stats.getLong(0) <= budget) return pool.collect().toIndexedSeq.map(toPoolVector)
+    require(stats.getLong(1) >= 0 && stats.getLong(2) <= MaxRecId,
+      s"record ids [${stats.getLong(1)}, ${stats.getLong(2)}] do not fit a pair key")
+
+    var selected = warmStart(pool, math.min(cfg.initSize, budget))
+    var iter = 0
+    while (selected.size < budget) {
+      val batch = math.min(cfg.batchSize, budget - selected.size)
+      val (scored, broadcasts) = score(selected, iter)
+      val labeled = selected.map(v => pairKey(v.recA, v.recB))
+      val picked = scored
+        .filter(!pairKey(col("recA"), col("recB")).isin(labeled: _*))
+        .orderBy(desc("score"), col("recA"), col("recB"))
+        .limit(batch)
+        .collect()
+        .toIndexedSeq
+        .map(toPoolVector)
+      broadcasts.foreach(_.destroy())
+      if (picked.isEmpty) return selected
+      selected = selected ++ picked
+      iter += 1
+    }
+    selected
+  }
+
+  /** Record ids are globally unique, so `(recA, recB)` identifies a pair;
+    * ids up to 32 bits pack into one Long key.
+    */
+  private val MaxRecId = 0xFFFFFFFFL
+  private def pairKey(recA: Long, recB: Long): Long = (recA << 32) | recB
+  private def pairKey(recA: Column, recB: Column): Column = shiftleft(recA, 32).bitwiseOR(recB)
 
   def toPoolVector(r: Row): PoolVector = PoolVector(
     r.getAs[String]("problemId"),

@@ -101,19 +101,12 @@ object AlmserAL extends ActiveLearner {
       idf: Map[Long, Double],
       seed: Long,
   ): IndexedSeq[PoolVector] = {
-    val poolSize = pool.count()
-    if (poolSize <= budget) return pool.collect().toIndexedSeq.map(ActiveLearner.toPoolVector)
-
-    var selected = ActiveLearner.warmStart(pool, math.min(cfg.initSize, budget))
-    var labeledKeys = selected.map(v => s"${v.problemId}|${v.recA}|${v.recB}").toSet
     val sc = spark.sparkContext
-    val problemIds = pool.select("problemId").distinct()
+    lazy val problemIds = pool.select("problemId").distinct()
       .collect().map(_.getString(0)).sorted.toIndexedSeq
 
-    var iter = 0
-    while (selected.size < budget) {
-      val batch = math.min(cfg.batchSize, budget - selected.size)
-      val train  = selected.map(v => LabeledVector(v.features, v.oracleLabel))
+    ActiveLearner.selectByScore(pool, budget, cfg) { (labeled, iter) =>
+      val train  = labeled.map(v => LabeledVector(v.features, v.oracleLabel))
       val forest = RandomForest.fit(train, numTrees = math.max(10, cfg.kModels / 2),
         maxDepth = 6, seed = seed * 17 + iter)
       // Task ensemble: one small model per ER task, trained on the task's
@@ -121,7 +114,7 @@ object AlmserAL extends ActiveLearner {
       // Task models are full bagged forests, as in the original (ALMSER
       // uses 100-tree random forests) — their per-iteration training and
       // scoring cost is what scales with the number of ER tasks.
-      val byProblem = selected.groupBy(_.problemId)
+      val byProblem = labeled.groupBy(_.problemId)
       val taskForests = problemIds.zipWithIndex.map { case (pid, i) =>
         val tv = byProblem.getOrElse(pid, IndexedSeq.empty)
           .map(v => LabeledVector(v.features, v.oracleLabel))
@@ -175,21 +168,8 @@ object AlmserAL extends ActiveLearner {
         val s   = ActiveLearner.pairScore(bIdf.value, recA, recB)
         (if (conflict) 1.0 else 0.0) + taskDis + unc * (1.0 + s)
       }
-      val key = concat_ws("|", col("problemId"), col("recA"), col("recB"))
-      val picked = scored
-        .filter(!key.isin(labeledKeys.toSeq: _*))
-        .withColumn("score", scoreUdf(col("vote"), col("taskVote"), col("recA"), col("recB")))
-        .orderBy(desc("score"), col("recA"), col("recB"))
-        .limit(batch)
-        .collect()
-        .toIndexedSeq
-        .map(ActiveLearner.toPoolVector)
-      bForest.destroy(); bTasks.destroy(); bComp.destroy(); bBridges.destroy(); bIdf.destroy()
-      if (picked.isEmpty) return selected
-      selected = selected ++ picked
-      labeledKeys = labeledKeys ++ picked.map(v => s"${v.problemId}|${v.recA}|${v.recB}")
-      iter += 1
+      (scored.withColumn("score", scoreUdf(col("vote"), col("taskVote"), col("recA"), col("recB"))),
+        Seq(bForest, bTasks, bComp, bBridges, bIdf))
     }
-    selected
   }
 }

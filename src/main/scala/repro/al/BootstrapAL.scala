@@ -25,45 +25,21 @@ object BootstrapAL extends ActiveLearner {
       cfg: ALConfig,
       idf: Map[Long, Double],
       seed: Long,
-  ): IndexedSeq[PoolVector] = {
-    val poolSize = pool.count()
-    if (poolSize <= budget) return pool.collect().toIndexedSeq.map(ActiveLearner.toPoolVector)
-
-    var selected = ActiveLearner.warmStart(pool, math.min(cfg.initSize, budget))
-    var labeledKeys = selected.map(v => s"${v.problemId}|${v.recA}|${v.recB}").toSet
-    val sc = spark.sparkContext
-
-    var iter = 0
-    while (selected.size < budget) {
-      val batch = math.min(cfg.batchSize, budget - selected.size)
-      val train = selected.map(v => LabeledVector(v.features, v.oracleLabel))
-      val forest = RandomForest.fit(train, numTrees = cfg.kModels, maxDepth = 6,
-        seed = seed * 31 + iter)
-      val bForest = sc.broadcast(forest)
-      val bIdf    = sc.broadcast(idf)
-      val scoreUdf = udf { (features: Seq[Double], recA: Long, recB: Long) =>
-        val f   = bForest.value.voteFraction(features.toArray)
-        val unc = f * (1.0 - f)
-        val s   = ActiveLearner.pairScore(bIdf.value, recA, recB)
-        // deterministic micro-jitter breaks ties without an RNG on executors
-        val jit = ((recA * 2654435761L + recB) & 0xFFFF).toDouble / 0xFFFF.toDouble * 1e-6
-        unc * (1.0 + s) + jit
-      }
-      val key = concat_ws("|", col("problemId"), col("recA"), col("recB"))
-      val picked = pool
-        .filter(!key.isin(labeledKeys.toSeq: _*))
-        .withColumn("score", scoreUdf(col("features"), col("recA"), col("recB")))
-        .orderBy(desc("score"), col("recA"), col("recB"))
-        .limit(batch)
-        .collect()
-        .toIndexedSeq
-        .map(ActiveLearner.toPoolVector)
-      bForest.destroy(); bIdf.destroy()
-      if (picked.isEmpty) return selected
-      selected = selected ++ picked
-      labeledKeys = labeledKeys ++ picked.map(v => s"${v.problemId}|${v.recA}|${v.recB}")
-      iter += 1
+  ): IndexedSeq[PoolVector] = ActiveLearner.selectByScore(pool, budget, cfg) { (labeled, iter) =>
+    val train = labeled.map(v => LabeledVector(v.features, v.oracleLabel))
+    val forest = RandomForest.fit(train, numTrees = cfg.kModels, maxDepth = 6,
+      seed = seed * 31 + iter)
+    val bForest = spark.sparkContext.broadcast(forest)
+    val bIdf    = spark.sparkContext.broadcast(idf)
+    val scoreUdf = udf { (features: Seq[Double], recA: Long, recB: Long) =>
+      val f   = bForest.value.voteFraction(features.toArray)
+      val unc = f * (1.0 - f)
+      val s   = ActiveLearner.pairScore(bIdf.value, recA, recB)
+      // deterministic micro-jitter breaks ties without an RNG on executors
+      val jit = ((recA * 2654435761L + recB) & 0xFFFF).toDouble / 0xFFFF.toDouble * 1e-6
+      unc * (1.0 + s) + jit
     }
-    selected
+    (pool.withColumn("score", scoreUdf(col("features"), col("recA"), col("recB"))),
+      Seq(bForest, bIdf))
   }
 }

@@ -1,7 +1,6 @@
 package repro.baselines
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.al.{ALConfig, AlmserAL}
 import repro.core.ModelRepository
 import repro.erdata.ERDataset

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Shared plumbing for the baseline simulators: record-pair text
@@ -8,16 +8,6 @@ import org.apache.spark.sql.functions._
   * methods, reduced to token streams) and train/test pair access.
   */
 object BaselineUtil {
-
-  /** Serialize one side of a pair row into a token-stream string. */
-  def sideText(r: Row, prefix: String): String = {
-    def s(c: String) = Option(r.getAs[String](s"${prefix}_$c")).getOrElse("")
-    def n(c: String) = {
-      val v = r.getAs[Double](s"${prefix}_$c")
-      if (v > 0) v.toInt.toString else ""
-    }
-    Seq(s("a1"), s("a2"), s("a3"), n("num1"), n("num2")).filter(_.nonEmpty).mkString(" ")
-  }
 
   /** Columns for text-pair classification: aText, bText, label. */
   def textPairs(pairs: DataFrame): DataFrame = {

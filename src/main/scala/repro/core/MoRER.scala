@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.al.{ALConfig, ActiveLearner, AlmserAL, BootstrapAL}
+import repro.al.{ALConfig, ActiveLearner, BootstrapAL}
 import repro.erdata.ERDataset
 import repro.eval.Metrics
 import repro.eval.Metrics.Confusion
@@ -141,13 +141,7 @@ object MoRER {
     val sampled =
       if (n <= cap) pool
       else pool.sample(withReplacement = false, cap.toDouble / n, seed)
-    sampled.collect().toIndexedSeq.map(repro.al.ActiveLearner.toPoolVector)
-  }
-
-  /** sel_base for a single problem with an explicit distribution test. */
-  def selectBase(repo: Repository, pid: String, test: DistTest): Int = {
-    val h = repo.problemHists(pid)
-    repo.clusters.values.maxBy(cm => DistributionAnalysis.problemSimilarity(h, cm.hist, test)).id
+    sampled.collect().toIndexedSeq.map(ActiveLearner.toPoolVector)
   }
 
   /** sel_cov: integrate one new ER problem into the graph, re-cluster,

@@ -1,13 +1,12 @@
 package repro.eval
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import scala.util.Random
 import repro.al.{ALConfig, AlmserAL, BootstrapAL}
 import repro.baselines._
 import repro.core._
 import repro.erdata.{ERDataset, MultiSourceGen}
-import repro.eval.Metrics.Confusion
 
 /** Shared harness for the paper's evaluation tables. Benchmarks
   * (bench/) assert on its outputs; spark-submit jobs (jobs/) print them.

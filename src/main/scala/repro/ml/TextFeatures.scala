@@ -77,30 +77,4 @@ object TextFeatures {
     }
     dot // inputs are L2-normalized
   }
-
-  /** Sparse difference-style pair representation used by the supervised
-    * text baselines: |a-b| concatenated with the elementwise min
-    * (hashed into the first/second half of a 2*dim space). Captures both
-    * disagreement and shared evidence of the serialized record pair.
-    */
-  def pairVector(
-      ia: Array[Int], va: Array[Double],
-      ib: Array[Int], vb: Array[Double],
-      dim: Int,
-  ): (Array[Int], Array[Double]) = {
-    val out = mutable.TreeMap.empty[Int, Double]
-    var i = 0; var j = 0
-    while (i < ia.length || j < ib.length) {
-      if (j >= ib.length || (i < ia.length && ia(i) < ib(j))) {
-        out(ia(i)) = va(i); i += 1
-      } else if (i >= ia.length || ib(j) < ia(i)) {
-        out(ib(j)) = vb(j); j += 1
-      } else {
-        val d = math.abs(va(i) - vb(j)); if (d > 0) out(ia(i)) = d
-        val m = math.min(va(i), vb(j)); if (m > 0) out(dim + ia(i)) = m
-        i += 1; j += 1
-      }
-    }
-    (out.keys.toArray, out.values.toArray)
-  }
 }

@@ -7,6 +7,13 @@ class AlmserALSpec extends SparkSpec {
   private def pool() = TestData.camera.pairs
     .select("problemId", "recA", "recB", "features", "label")
 
+  test("selection fingerprint on the camera and music corpora is unchanged") {
+    val cfg = ALConfig(kModels = 6, batchSize = 30, initSize = 20)
+    def run(ds: repro.erdata.ERDataset) = SelectionFingerprint.of(AlmserAL.select(spark,
+      ds.pairs.select("problemId", "recA", "recB", "features", "label"), 90, cfg, Map.empty, 1))
+    assert((run(TestData.camera), run(TestData.music)) == (((90, 1292045990), (90, 672198700))))
+  }
+
   test("bridges of a path are all its edges") {
     val b = AlmserAL.bridges(Seq((1L, 2L), (2L, 3L), (3L, 4L)))
     assert(b == Set((1L, 2L), (2L, 3L), (3L, 4L)))

@@ -9,6 +9,21 @@ class BootstrapALSpec extends SparkSpec {
   private def pool() = TestData.camera.pairs
     .select("problemId", "recA", "recB", "features", "label")
 
+  test("selection fingerprint on the camera and music corpora is unchanged") {
+    val cfg = ALConfig(kModels = 5, batchSize = 40, initSize = 20)
+    def run(ds: repro.erdata.ERDataset) = SelectionFingerprint.of(BootstrapAL.select(spark,
+      ds.pairs.select("problemId", "recA", "recB", "features", "label"), 120, cfg, Map.empty, 1))
+    assert((run(TestData.camera), run(TestData.music)) == (((120, 741244035), (120, -825615766))))
+  }
+
+  test("record ids beyond 32 bits are rejected before any pair is keyed") {
+    val wide = pool().withColumn("recA", col("recA") + (1L << 32))
+    assertThrows[IllegalArgumentException] {
+      BootstrapAL.select(spark, wide, 120, ALConfig(kModels = 5, batchSize = 40, initSize = 20),
+        Map.empty, 1)
+    }
+  }
+
   test("select respects the budget exactly when the pool is large enough") {
     val out = BootstrapAL.select(spark, pool(), budget = 120,
       ALConfig(kModels = 5, batchSize = 40, initSize = 20), Map.empty, seed = 1)

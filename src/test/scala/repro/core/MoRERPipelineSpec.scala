@@ -2,7 +2,7 @@ package repro.core
 
 import scala.util.Random
 import repro.{SparkSpec, TestData}
-import repro.al.{AlmserAL, BootstrapAL}
+import repro.al.AlmserAL
 
 /** End-to-end integration of the MoRER pipeline on the tiny corpora. */
 class MoRERPipelineSpec extends SparkSpec {
@@ -40,12 +40,14 @@ class MoRERPipelineSpec extends SparkSpec {
 
   test("selectBase picks the cluster with maximal distribution similarity") {
     val repo = baseResult.repo
-    val pid = split._2.head
-    val best = MoRER.selectBase(repo, pid, KS)
-    val h = repo.problemHists(pid)
-    val sims = repo.clusters.values.map(cm =>
-      cm.id -> DistributionAnalysis.problemSimilarity(h, cm.hist, KS)).toMap
-    assert(sims(best) == sims.values.max)
+    val (_, assignment) = MoRER.solveBaseAllWithTest(spark, ds, repo, split._2, KS)
+    assert(assignment.keySet == split._2.filter(repo.problemHists.contains).toSet)
+    assignment.foreach { case (pid, best) =>
+      val h = repo.problemHists(pid)
+      val sims = repo.clusters.values.map(cm =>
+        cm.id -> DistributionAnalysis.problemSimilarity(h, cm.hist, KS)).toMap
+      assert(sims(best) == sims.values.max, pid)
+    }
   }
 
   test("sel_cov integrates new problems into the graph") {
