@@ -15,7 +15,7 @@ import repro.eval.Experiments
   * quality stays competitive with Almser while beating the
   * unsupervised/self-supervised methods on heterogeneous data.
   *
-  * Scale via REPRO_BENCH_SF (default 0.5); budgets via the defaults.
+  * Scale via REPRO_BENCH_SF (default 1.0); budgets via the defaults.
   */
 class Table4SpeedupsBench extends SparkSpec {
 

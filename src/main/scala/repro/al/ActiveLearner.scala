@@ -1,8 +1,9 @@
 package repro.al
 
-import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
+import java.util.stream.IntStream
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.unsafe.hash.Murmur3_x86_32
+import scala.collection.mutable
 import repro.ml.PoolVector
 
 /** Shared AL contract and pool plumbing.
@@ -44,43 +45,55 @@ trait ActiveLearner extends Serializable {
 
 object ActiveLearner {
 
+  /** Scores every pool vector (highest is labeled first), given the pool,
+    * the vectors labeled so far and the iteration number.
+    */
+  type Scorer = (IndexedSeq[PoolVector], IndexedSeq[PoolVector], Int) => Array[Double]
+
   /** The AL selection loop every learner shares; a learner supplies only
-    * `score`. Given the vectors labeled so far and the iteration number,
-    * it returns every pool row with a `score` column (highest is labeled
-    * first) and the broadcasts to release once the batch is picked.
-    * A pool no larger than the budget is labeled whole. Otherwise
-    * the loop starts from `warmStart` and labels the `batchSize`
-    * best-scored unlabeled pairs per iteration (ties broken by pair id)
-    * until the budget is spent or the pool runs dry.
+    * its `Scorer`. The pool is collected to the driver once — one Spark
+    * job — and every later step runs in-process: a cluster pool is at
+    * most a few hundred thousand 4-feature vectors, far cheaper to score
+    * than a Spark job per iteration costs. A pool no larger than the
+    * budget is labeled whole. Otherwise the loop starts from `warmStart`
+    * and labels the `batchSize` best-scored unlabeled pairs per iteration
+    * (ties broken by recA, then recB) until the budget is spent or the
+    * pool runs dry.
     */
   def selectByScore(pool: DataFrame, budget: Int, cfg: ALConfig)(
-      score: (IndexedSeq[PoolVector], Int) => (DataFrame, Seq[Broadcast[_]]),
+      score: Scorer,
   ): IndexedSeq[PoolVector] = {
-    val stats = pool.agg(count(lit(1)), min(least(col("recA"), col("recB"))),
-      max(greatest(col("recA"), col("recB")))).collect()(0)
-    if (stats.getLong(0) <= budget) return pool.collect().toIndexedSeq.map(toPoolVector)
-    require(stats.getLong(1) >= 0 && stats.getLong(2) <= MaxRecId,
-      s"record ids [${stats.getLong(1)}, ${stats.getLong(2)}] do not fit a pair key")
+    val vectors = pool.collect().toIndexedSeq.map(toPoolVector)
+    if (vectors.size <= budget) return vectors
+    val bad = vectors.find(v => v.recA < 0 || v.recB < 0 || v.recA > MaxRecId || v.recB > MaxRecId)
+    require(bad.isEmpty, s"record ids of pair ${bad.map(v => (v.recA, v.recB)).orNull} " +
+      "do not fit a pair key")
 
-    var selected = warmStart(pool, math.min(cfg.initSize, budget))
+    var selected = warmStart(vectors, math.min(cfg.initSize, budget))
+    val labeled = mutable.HashSet.from(selected.map(v => pairKey(v.recA, v.recB)))
     var iter = 0
     while (selected.size < budget) {
       val batch = math.min(cfg.batchSize, budget - selected.size)
-      val (scored, broadcasts) = score(selected, iter)
-      val labeled = selected.map(v => pairKey(v.recA, v.recB))
-      val picked = scored
-        .filter(!pairKey(col("recA"), col("recB")).isin(labeled: _*))
-        .orderBy(desc("score"), col("recA"), col("recB"))
-        .limit(batch)
-        .collect()
-        .toIndexedSeq
-        .map(toPoolVector)
-      broadcasts.foreach(_.destroy())
+      val scores = score(vectors, selected, iter)
+      val unlabeled = vectors.indices.iterator.filterNot { i =>
+        labeled(pairKey(vectors(i).recA, vectors(i).recB))
+      }
+      val picked = top(unlabeled, batch, byKey(vectors, scores(_), descending = true)).map(vectors)
       if (picked.isEmpty) return selected
+      picked.foreach(v => labeled += pairKey(v.recA, v.recB))
       selected = selected ++ picked
       iter += 1
     }
     selected
+  }
+
+  /** Fills one score per index `0 until n` in parallel; each slot is
+    * written once, so the result does not depend on the thread schedule.
+    */
+  def scoreEach(n: Int)(f: Int => Double): Array[Double] = {
+    val out = new Array[Double](n)
+    IntStream.range(0, n).parallel().forEach(i => out(i) = f(i))
+    out
   }
 
   /** Record ids are globally unique, so `(recA, recB)` identifies a pair;
@@ -88,7 +101,6 @@ object ActiveLearner {
     */
   private val MaxRecId = 0xFFFFFFFFL
   private def pairKey(recA: Long, recB: Long): Long = (recA << 32) | recB
-  private def pairKey(recA: Column, recB: Column): Column = shiftleft(recA, 32).bitwiseOR(recB)
 
   def toPoolVector(r: Row): PoolVector = PoolVector(
     r.getAs[String]("problemId"),
@@ -97,21 +109,58 @@ object ActiveLearner {
     r.getAs[Seq[Double]]("features").toArray,
     r.getAs[Int]("label"))
 
+  /** Double order as Spark SQL sorts it: -0.0 equals 0.0, NaN is largest. */
+  private def compareSql(a: Double, b: Double): Int =
+    if (a == b) 0 else java.lang.Double.compare(a, b)
+
+  private def byRecords(a: PoolVector, b: PoolVector): Int = {
+    val c = java.lang.Long.compare(a.recA, b.recA)
+    if (c != 0) c else java.lang.Long.compare(a.recB, b.recB)
+  }
+
+  /** Pool indices ordered by `key`, then recA, recB — the order of
+    * Spark's `orderBy(key, recA, recB)`.
+    */
+  private def byKey(vectors: IndexedSeq[PoolVector], key: Int => Double, descending: Boolean): Ordering[Int] =
+    (i: Int, j: Int) => {
+      val c = if (descending) compareSql(key(j), key(i)) else compareSql(key(i), key(j))
+      if (c != 0) c else byRecords(vectors(i), vectors(j))
+    }
+
+  /** The first `k` of `xs` under `ord`, in order — a bounded heap, so
+    * picking a batch costs O(n log k), not a full sort of the pool.
+    */
+  private def top[A](xs: IterableOnce[A], k: Int, ord: Ordering[A]): IndexedSeq[A] = {
+    if (k <= 0) return IndexedSeq.empty
+    val heap = mutable.PriorityQueue.empty[A](ord) // max-heap: the worst kept element on top
+    xs.iterator.foreach { x =>
+      if (heap.size < k) heap.enqueue(x)
+      else if (ord.lt(x, heap.head)) { heap.dequeue(); heap.enqueue(x) }
+    }
+    heap.dequeueAll[A].reverse.toIndexedSeq
+  }
+
+  /** Spark SQL's `hash(recA, recB)`: Murmur3 over the two longs, seed 42. */
+  private[al] def sparkHash(recA: Long, recB: Long): Int =
+    Murmur3_x86_32.hashLong(recB, Murmur3_x86_32.hashLong(recA, 42))
+
   /** Deterministic class-covering warm start: a third of the sample from
     * the highest-mean-feature pairs (likely matches), a third from the
     * lowest (likely non-matches), a third hash-random for coverage of
     * the middle. Avoids the degenerate one-class seed that a uniform
-    * random draw produces on match-skewed pools.
+    * random draw produces on match-skewed pools. The random third is
+    * ordered by Spark SQL's `abs(hash(recA, recB))`, then recA, recB.
     */
-  def warmStart(pool: DataFrame, n: Int): IndexedSeq[PoolVector] = {
-    val withMean = pool.withColumn("fmean", aggregate(col("features"), lit(0.0), (a, x) => a + x))
+  def warmStart(vectors: IndexedSeq[PoolVector], n: Int): IndexedSeq[PoolVector] = {
+    val fmean = vectors.map(_.features.foldLeft(0.0)(_ + _)).toArray
     val third = math.max(1, n / 3)
-    val hi = withMean.orderBy(desc("fmean"), col("recA"), col("recB")).limit(n - 2 * third)
-    val lo = withMean.orderBy(asc("fmean"), col("recA"), col("recB")).limit(third)
-    val rnd = withMean.orderBy(abs(hash(col("recA"), col("recB"))), col("recA")).limit(third)
-    (hi.collect() ++ lo.collect() ++ rnd.collect()).toIndexedSeq
-      .map(toPoolVector)
-      .distinctBy(v => (v.problemId, v.recA, v.recB))
+    val idx = vectors.indices
+    val hi = top(idx, n - 2 * third, byKey(vectors, fmean(_), descending = true))
+    val lo = top(idx, third, byKey(vectors, fmean(_), descending = false))
+    val rnd = top[Int](idx, third, Ordering.by { (i: Int) =>
+      val v = vectors(i); (math.abs(sparkHash(v.recA, v.recB)), v.recA, v.recB)
+    })
+    (hi ++ lo ++ rnd).map(vectors).distinctBy(v => (v.problemId, v.recA, v.recB))
   }
 
   /** Mean IDF-style uniqueness score s(w) of a pair (Eq. 11). */

@@ -1,7 +1,6 @@
 package repro.al
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import scala.collection.mutable
 import repro.ml.{LabeledVector, PoolVector, RandomForest}
 
@@ -12,8 +11,9 @@ import repro.ml.{LabeledVector, PoolVector, RandomForest}
   * Per iteration it (1) trains the main bagged committee on the labeled
   * pairs plus — as in the original — one small model **per ER task** in
   * the pool (the task-ensemble whose vote disagreement is an Almser
-  * signal), (2) classifies the whole pool with all of them (distributed
-  * pass), (3) builds the predicted-match similarity graph and analyzes
+  * signal), (2) classifies the whole pool with all of them (in-process,
+  * in parallel over the vectors `ActiveLearner.selectByScore` collected
+  * once), (3) builds the predicted-match similarity graph and analyzes
   * it on the driver — connected components give transitive-closure
   * evidence (a pair predicted non-match inside one component is a
   * potential false negative), bridge edges are the min-cut proxy (a
@@ -100,76 +100,58 @@ object AlmserAL extends ActiveLearner {
       cfg: ALConfig,
       idf: Map[Long, Double],
       seed: Long,
-  ): IndexedSeq[PoolVector] = {
-    val sc = spark.sparkContext
-    lazy val problemIds = pool.select("problemId").distinct()
-      .collect().map(_.getString(0)).sorted.toIndexedSeq
+  ): IndexedSeq[PoolVector] = ActiveLearner.selectByScore(pool, budget, cfg) { (vectors, labeled, iter) =>
+    val problemIds = vectors.map(_.problemId).distinct.sorted
+    val train  = labeled.map(v => LabeledVector(v.features, v.oracleLabel))
+    val forest = RandomForest.fit(train, numTrees = math.max(10, cfg.kModels / 2),
+      maxDepth = 6, seed = seed * 17 + iter)
+    // Task ensemble: one small model per ER task, trained on the task's
+    // own labels where both classes are present, else on all labels.
+    // Task models are full bagged forests, as in the original (ALMSER
+    // uses 100-tree random forests) — their per-iteration training and
+    // scoring cost is what scales with the number of ER tasks.
+    val byProblem = labeled.groupBy(_.problemId)
+    val taskForests = problemIds.zipWithIndex.map { case (pid, i) =>
+      val tv = byProblem.getOrElse(pid, IndexedSeq.empty)
+        .map(v => LabeledVector(v.features, v.oracleLabel))
+      val data = if (tv.map(_.label).distinct.size == 2) tv.toIndexedSeq else train
+      RandomForest.fit(data, numTrees = math.max(5, cfg.kModels / 2), maxDepth = 6,
+        seed = seed * 13 + iter * 131 + i)
+    }
 
-    ActiveLearner.selectByScore(pool, budget, cfg) { (labeled, iter) =>
-      val train  = labeled.map(v => LabeledVector(v.features, v.oracleLabel))
-      val forest = RandomForest.fit(train, numTrees = math.max(10, cfg.kModels / 2),
-        maxDepth = 6, seed = seed * 17 + iter)
-      // Task ensemble: one small model per ER task, trained on the task's
-      // own labels where both classes are present, else on all labels.
-      // Task models are full bagged forests, as in the original (ALMSER
-      // uses 100-tree random forests) — their per-iteration training and
-      // scoring cost is what scales with the number of ER tasks.
-      val byProblem = labeled.groupBy(_.problemId)
-      val taskForests = problemIds.zipWithIndex.map { case (pid, i) =>
-        val tv = byProblem.getOrElse(pid, IndexedSeq.empty)
-          .map(v => LabeledVector(v.features, v.oracleLabel))
-        val data = if (tv.map(_.label).distinct.size == 2) tv.toIndexedSeq else train
-        RandomForest.fit(data, numTrees = math.max(5, cfg.kModels / 2), maxDepth = 6,
-          seed = seed * 13 + iter * 131 + i)
-      }
-      val bForest = sc.broadcast(forest)
-      val bTasks  = sc.broadcast(taskForests)
+    // Pass 1: classify the pool (main committee + task-ensemble vote),
+    // pull the predicted-match edge list.
+    val vote = ActiveLearner.scoreEach(vectors.size)(i => forest.voteFraction(vectors(i).features))
+    val taskVote = ActiveLearner.scoreEach(vectors.size) { i =>
+      val x = vectors(i).features
+      var votes = 0; var t = 0
+      while (t < taskForests.size) { votes += taskForests(t).predict(x); t += 1 }
+      votes.toDouble / taskForests.size
+    }
+    val matchEdges = vectors.indices.collect { case i if vote(i) >= 0.5 =>
+      (vectors(i).recA, vectors(i).recB) }
 
-      // Pass 1: classify the pool (main committee + task-ensemble vote),
-      // pull the predicted-match edge list.
-      val predUdf = udf { (f: Seq[Double]) =>
-        val x = f.toArray
-        val main = bForest.value.voteFraction(x)
-        val tasks = bTasks.value
-        var votes = 0; var i = 0
-        while (i < tasks.size) { votes += tasks(i).predict(x); i += 1 }
-        Array(main, votes.toDouble / tasks.size)
-      }
-      val scored = pool.withColumn("p", predUdf(col("features")))
-        .withColumn("vote", col("p").getItem(0))
-        .withColumn("taskVote", col("p").getItem(1))
-        .drop("p")
-      val matchEdges = scored.filter(col("vote") >= 0.5)
-        .select("recA", "recB").collect()
-        .map(r => (r.getLong(0), r.getLong(1))).toIndexedSeq
+    // Driver graph analysis: components (transitive closure) + bridges.
+    val uf = new UF
+    matchEdges.foreach { case (a, b) => uf.union(a, b) }
+    val compOf: Map[Long, Long] =
+      matchEdges.flatMap { case (a, b) => Seq(a, b) }.distinct.map(r => r -> uf.find(r)).toMap
+    val bridgeSet = bridges(matchEdges.distinct)
 
-      // Driver graph analysis: components (transitive closure) + bridges.
-      val uf = new UF
-      matchEdges.foreach { case (a, b) => uf.union(a, b) }
-      val compOf: Map[Long, Long] =
-        matchEdges.flatMap { case (a, b) => Seq(a, b) }.distinct.map(r => r -> uf.find(r)).toMap
-      val bridgeSet = bridges(matchEdges.distinct)
-
-      val bComp    = sc.broadcast(compOf)
-      val bBridges = sc.broadcast(bridgeSet)
-      val bIdf     = sc.broadcast(idf)
-
-      // Pass 2: graph/task-ensemble disagreement first, uncertainty second.
-      val scoreUdf = udf { (vote: Double, taskVote: Double, recA: Long, recB: Long) =>
-        val pred = vote >= 0.5
-        val sameComp = (for { ca <- bComp.value.get(recA); cb <- bComp.value.get(recB) }
-          yield ca == cb).getOrElse(false)
-        val edge = (math.min(recA, recB), math.max(recA, recB))
-        val conflict =
-          (!pred && sameComp) ||                       // potential false negative
-          (pred && bBridges.value.contains(edge))      // potential false positive (bridge)
-        val unc = vote * (1.0 - vote)
-        val taskDis = taskVote * (1.0 - taskVote)      // task-ensemble disagreement
-        val s   = ActiveLearner.pairScore(bIdf.value, recA, recB)
-        (if (conflict) 1.0 else 0.0) + taskDis + unc * (1.0 + s)
-      }
-      (scored.withColumn("score", scoreUdf(col("vote"), col("taskVote"), col("recA"), col("recB"))),
-        Seq(bForest, bTasks, bComp, bBridges, bIdf))
+    // Pass 2: graph/task-ensemble disagreement first, uncertainty second.
+    ActiveLearner.scoreEach(vectors.size) { i =>
+      val v = vectors(i)
+      val pred = vote(i) >= 0.5
+      val sameComp = (for { ca <- compOf.get(v.recA); cb <- compOf.get(v.recB) }
+        yield ca == cb).getOrElse(false)
+      val edge = (math.min(v.recA, v.recB), math.max(v.recA, v.recB))
+      val conflict =
+        (!pred && sameComp) ||                       // potential false negative
+        (pred && bridgeSet.contains(edge))           // potential false positive (bridge)
+      val unc = vote(i) * (1.0 - vote(i))
+      val taskDis = taskVote(i) * (1.0 - taskVote(i)) // task-ensemble disagreement
+      val s   = ActiveLearner.pairScore(idf, v.recA, v.recB)
+      (if (conflict) 1.0 else 0.0) + taskDis + unc * (1.0 + s)
     }
   }
 }

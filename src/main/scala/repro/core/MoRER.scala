@@ -102,8 +102,8 @@ object MoRER {
     val budgets = Budget.distribute(infos, cfg.bTot, cfg.bMin)
     val clusterOfProblem = infos.flatMap(c => c.problemIds.map(_ -> c.id)).toMap
 
+    // idfScores' collect is the first pass over pairsI and fills its cache.
     val pairsI = poolColumns(ds.pairs.filter(col("problemId").isin(ids: _*))).cache()
-    pairsI.count()
     val idf = ModelRepository.idfScores(spark, pairsI, clusterOfProblem)
 
     var models = Map.empty[Int, ClusterModel]

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import scala.collection.mutable
 import repro.al.{ALConfig, ActiveLearner}
 import repro.ml.{LabeledVector, PoolVector, RandomForest}
 
@@ -74,6 +75,10 @@ object ModelRepository {
     * score log(|C_P| / |C_{P|r}|). (The paper's Eq. 12 writes the ratio
     * inverted, which is ≤ 0 for all records; we use the standard IDF
     * orientation the text describes — "how unique a feature vector is".)
+    *
+    * One Spark job collects the (problemId, recA, recB) triples; the
+    * per-record cluster counts are made on the driver, since a cluster
+    * pool's pairs fit it (see `ActiveLearner.selectByScore`).
     */
   def idfScores(
       spark: SparkSession,
@@ -82,16 +87,16 @@ object ModelRepository {
   ): Map[Long, Double] = {
     val numClusters = clusterOfProblem.values.toSet.size
     if (numClusters == 0) return Map.empty
-    val b = spark.sparkContext.broadcast(clusterOfProblem)
-    val clusterUdf = udf((pid: String) => b.value.getOrElse(pid, -1))
-    val counts = pairs
-      .select(col("problemId"), explode(array(col("recA"), col("recB"))) as "rec")
-      .withColumn("cluster", clusterUdf(col("problemId")))
-      .filter(col("cluster") >= 0)
-      .select("rec", "cluster").distinct()
-      .groupBy("rec").agg(count(lit(1)) as "n")
-      .collect()
-    counts.map(r => r.getLong(0) -> math.log(numClusters.toDouble / r.getLong(1))).toMap
+    val recordsOf = mutable.HashMap.empty[Int, mutable.LongMap[Unit]]
+    pairs.select("problemId", "recA", "recB").collect().foreach { r =>
+      clusterOfProblem.get(r.getString(0)).foreach { c =>
+        val recs = recordsOf.getOrElseUpdate(c, mutable.LongMap.empty)
+        recs(r.getLong(1)) = (); recs(r.getLong(2)) = ()
+      }
+    }
+    val clustersOf = mutable.LongMap.empty[Int]
+    recordsOf.values.foreach(_.keysIterator.foreach(r => clustersOf(r) = clustersOf.getOrElse(r, 0) + 1))
+    clustersOf.iterator.map { case (r, n) => r -> math.log(numClusters.toDouble / n) }.toMap
   }
 
   /** Train one cluster model: AL-select `budget` vectors from the

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Undirected weighted graph over ER problems (paper §4.3).
   *
   * Vertices are ER problem ids; edge weights are the aggregated
@@ -11,18 +9,6 @@ import scala.collection.mutable
   */
 final case class ProblemGraph(nodes: IndexedSeq[String], edges: Map[(Int, Int), Double]) {
   val index: Map[String, Int] = nodes.zipWithIndex.toMap
-
-  def weight(a: String, b: String): Option[Double] = {
-    val i = index(a); val j = index(b)
-    edges.get(if (i < j) (i, j) else (j, i))
-  }
-
-  /** Adjacency list: for each node, (neighbor, weight). */
-  def adjacency: IndexedSeq[IndexedSeq[(Int, Double)]] = {
-    val adj = IndexedSeq.fill(nodes.size)(mutable.ArrayBuffer.empty[(Int, Double)])
-    edges.foreach { case ((i, j), w) => adj(i) += ((j, w)); if (i != j) adj(j) += ((i, w)) }
-    adj.map(_.toIndexedSeq)
-  }
 
   /** Add a vertex with the given weighted edges to existing vertices —
     * used by sel_cov when a new ER problem arrives.

@@ -14,6 +14,16 @@ class AlmserALSpec extends SparkSpec {
     assert((run(TestData.camera), run(TestData.music)) == (((90, 1292045990), (90, 672198700))))
   }
 
+  test("one select on a pool larger than the budget runs exactly one Spark job") {
+    val p = pool()
+    assert(p.count() > 90)
+    val jobs = SparkJobs.count(spark) {
+      AlmserAL.select(spark, p, 90, ALConfig(kModels = 6, batchSize = 30, initSize = 20),
+        Map.empty, 1)
+    }
+    assert(jobs == 1)
+  }
+
   test("bridges of a path are all its edges") {
     val b = AlmserAL.bridges(Seq((1L, 2L), (2L, 3L), (3L, 4L)))
     assert(b == Set((1L, 2L), (2L, 3L), (3L, 4L)))

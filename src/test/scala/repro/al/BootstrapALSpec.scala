@@ -16,6 +16,16 @@ class BootstrapALSpec extends SparkSpec {
     assert((run(TestData.camera), run(TestData.music)) == (((120, 741244035), (120, -825615766))))
   }
 
+  test("one select on a pool larger than the budget runs exactly one Spark job") {
+    val p = pool()
+    assert(p.count() > 120)
+    val jobs = SparkJobs.count(spark) {
+      BootstrapAL.select(spark, p, 120, ALConfig(kModels = 5, batchSize = 40, initSize = 20),
+        Map.empty, 1)
+    }
+    assert(jobs == 1)
+  }
+
   test("record ids beyond 32 bits are rejected before any pair is keyed") {
     val wide = pool().withColumn("recA", col("recA") + (1L << 32))
     assertThrows[IllegalArgumentException] {
@@ -50,7 +60,7 @@ class BootstrapALSpec extends SparkSpec {
   }
 
   test("warm start covers both classes on a mixed pool") {
-    val ws = ActiveLearner.warmStart(pool(), 30)
+    val ws = ActiveLearner.warmStart(pool().collect().toIndexedSeq.map(ActiveLearner.toPoolVector), 30)
     val labels = ws.map(_.oracleLabel).toSet
     assert(labels == Set(0, 1))
   }

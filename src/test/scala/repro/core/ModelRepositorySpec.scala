@@ -59,6 +59,22 @@ class ModelRepositorySpec extends SparkSpec {
     assert(distinctScores.contains(math.log(2.0)))
   }
 
+  test("idfScores equals the explode/distinct/groupBy query on a two-cluster map") {
+    val ds = TestData.camera
+    val clusterOf = ds.problemIds.map(p => p ->
+      (if (p.matches("p(\\d+)_\\1")) 0 else 1)).toMap
+    val cluster = udf((pid: String) => clusterOf.getOrElse(pid, -1))
+    val reference = ds.pairs
+      .select(col("problemId"), explode(array(col("recA"), col("recB"))) as "rec")
+      .withColumn("cluster", cluster(col("problemId")))
+      .filter(col("cluster") >= 0)
+      .select("rec", "cluster").distinct()
+      .groupBy("rec").agg(count(lit(1)) as "n")
+      .collect()
+      .map(r => r.getLong(0) -> math.log(2.0 / r.getLong(1))).toMap
+    assert(ModelRepository.idfScores(spark, ds.pairs, clusterOf) == reference)
+  }
+
   test("idfScores with no clusters is empty") {
     assert(ModelRepository.idfScores(spark, TestData.camera.pairs, Map.empty).isEmpty)
   }

@@ -21,9 +21,9 @@ class ProblemGraphSpec extends AnyFunSuite {
   test("above-mean policy drops dissimilar edges") {
     val g = ProblemGraph.build(hists, Seq("a", "b", "c", "d"), KS)
     // a-b and c-d are identical-distribution pairs; cross pairs are not
-    assert(g.weight("a", "b").isDefined)
-    assert(g.weight("c", "d").isDefined)
-    assert(g.weight("a", "c").isEmpty)
+    assert(g.edges.contains((0, 1)))
+    assert(g.edges.contains((2, 3)))
+    assert(!g.edges.contains((0, 2)))
   }
 
   test("threshold policy keeps edges above the threshold") {
@@ -34,7 +34,7 @@ class ProblemGraphSpec extends AnyFunSuite {
   test("edge weights are the aggregated problem similarities") {
     val g = ProblemGraph.build(hists, Seq("a", "b"), KS, ProblemGraph.Complete)
     val expected = DistributionAnalysis.problemSimilarity(hists("a"), hists("b"), KS)
-    assert(math.abs(g.weight("a", "b").get - expected) < 1e-12)
+    assert(math.abs(g.edges((0, 1)) - expected) < 1e-12)
   }
 
   test("problems without histograms are skipped") {
@@ -42,17 +42,17 @@ class ProblemGraphSpec extends AnyFunSuite {
     assert(g.nodes.toSet == Set("a", "b"))
   }
 
-  test("weight lookup is order-independent") {
-    val g = ProblemGraph.build(hists, Seq("a", "b"), KS, ProblemGraph.Complete)
-    assert(g.weight("a", "b") == g.weight("b", "a"))
+  test("each edge is keyed once, lower node index first") {
+    val g = ProblemGraph.build(hists, Seq("a", "b", "c", "d"), KS, ProblemGraph.Complete)
+    assert(g.edges.keySet == (for (i <- 0 until 4; j <- i + 1 until 4) yield (i, j)).toSet)
   }
 
   test("addNode appends a vertex with its edges") {
     val g = ProblemGraph.build(hists, Seq("a", "b"), KS, ProblemGraph.Complete)
     val g2 = g.addNode("e", Seq("a" -> 0.9))
     assert(g2.nodes.last == "e")
-    assert(g2.weight("a", "e").contains(0.9))
-    assert(g2.weight("b", "e").isEmpty)
+    assert(g2.edges.get((0, 2)).contains(0.9))
+    assert(!g2.edges.contains((1, 2)))
   }
 
   test("addNode rejects duplicates and unknown edge targets are dropped") {
@@ -62,11 +62,10 @@ class ProblemGraphSpec extends AnyFunSuite {
     assert(g2.edges.size == g.edges.size)
   }
 
-  test("adjacency lists both directions of an edge") {
-    val g = ProblemGraph.build(hists, Seq("a", "b"), KS, ProblemGraph.Complete)
-    val adj = g.adjacency
-    assert(adj(0).map(_._1) == Seq(1))
-    assert(adj(1).map(_._1) == Seq(0))
+  test("addNode keys each new edge from the existing node to the new one") {
+    val g = ProblemGraph.build(hists, Seq("a", "b", "c"), KS, ProblemGraph.Complete)
+    val g2 = g.addNode("e", Seq("c" -> 0.7, "a" -> 0.9))
+    assert(g2.edges.removedAll(g.edges.keys) == Map((2, 3) -> 0.7, (0, 3) -> 0.9))
   }
 
   test("clustering the built graph groups identical-distribution problems") {
