@@ -76,8 +76,6 @@ case object PSI extends DistTest {
 
 object DistTest {
   val all: Seq[DistTest] = Seq(KS, WD, PSI)
-  def byName(n: String): DistTest = all.find(_.name.equalsIgnoreCase(n))
-    .getOrElse(throw new IllegalArgumentException(s"unknown distribution test $n"))
 }
 
 /** Distributed similarity-distribution analysis (paper §4.2).
@@ -120,6 +118,12 @@ object DistributionAnalysis {
       pid -> hists
     }
   }
+
+  /** Per-problem pair counts |p_{k,l}|: each of a problem's feature
+    * histograms counts every one of its pairs once.
+    */
+  def pairCounts(hists: Map[String, IndexedSeq[FeatureHistogram]]): Map[String, Long] =
+    hists.map { case (pid, hs) => pid -> hs.head.total }
 
   /** Driver-side histogram of an in-memory vector set (used for the
     * per-cluster training-vector summaries P_{C^i} that `sel_base`

@@ -48,10 +48,4 @@ object FeatureVectors {
   /** Adds a `features: array<double>` column per the spec list order. */
   def withFeatures(pairs: DataFrame, specs: Seq[FeatureSpec]): DataFrame =
     pairs.withColumn("features", array(specs.map(featureExpr): _*))
-
-  /** Convenience: one named column per feature (for oracle checks). */
-  def explodedFeatures(pairs: DataFrame, specs: Seq[FeatureSpec]): DataFrame =
-    specs.zipWithIndex.foldLeft(pairs) { case (df, (s, i)) =>
-      df.withColumn(s.name, col("features").getItem(i))
-    }
 }

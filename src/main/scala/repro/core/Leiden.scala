@@ -3,6 +3,25 @@ package repro.core
 import scala.collection.mutable
 import scala.util.Random
 
+/** How the ER-problem graph is partitioned into clusters (paper §4.3):
+  * Leiden, or label propagation as the alternative the paper tested.
+  */
+sealed trait ClusterAlgo {
+  /** A community id (0-based, contiguous) per node of `g`. */
+  def cluster(g: ProblemGraph, seed: Long): Array[Int]
+}
+
+object ClusterAlgo {
+  case object Leiden extends ClusterAlgo {
+    def cluster(g: ProblemGraph, seed: Long): Array[Int] =
+      repro.core.Leiden.cluster(g.nodes.size, g.edges, seed = seed)
+  }
+  case object LabelPropagation extends ClusterAlgo {
+    def cluster(g: ProblemGraph, seed: Long): Array[Int] =
+      repro.core.Leiden.labelPropagation(g.nodes.size, g.edges, seed = seed)
+  }
+}
+
 /** Leiden community detection (Traag, Waltman & van Eck 2019) on small
   * weighted graphs, plus weighted label propagation as the alternative
   * the paper mentions. Implements the three Leiden phases — local

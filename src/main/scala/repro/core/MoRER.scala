@@ -8,14 +8,26 @@ import repro.eval.Metrics
 import repro.eval.Metrics.Confusion
 import repro.ml.PoolVector
 
+/** How each cluster model gets its training data (paper Table 3). */
+sealed trait ModelGen
+
+object ModelGen {
+  /** Budgeted active learning over the cluster's pool (the paper's default). */
+  case object ActiveLearning extends ModelGen
+  /** Every pool vector with its gold label, sampled down to `cap` for
+    * tractability; no labels are charged against the budget.
+    */
+  final case class Supervised(cap: Int = 20000) extends ModelGen
+}
+
 /** MoRER configuration — the paper's parameter grid (Table 3). Defaults
   * are the paper's bold defaults: ratio_init handled by the caller's
   * problem split, KS test, AL model generation, sel_base selection.
   */
 final case class MoRERConfig(
     test: DistTest = KS,
-    clusterAlgo: String = "leiden",      // leiden | labelprop
-    modelGen: String = "al",             // al | supervised
+    clusterAlgo: ClusterAlgo = ClusterAlgo.Leiden,
+    modelGen: ModelGen = ModelGen.ActiveLearning,
     al: ActiveLearner = BootstrapAL,
     bTot: Int = 1000,
     bMin: Int = 20,
@@ -28,8 +40,6 @@ final case class MoRERConfig(
     rfTrees: Int = 10,
     rfDepth: Int = 8,
     edgePolicy: ProblemGraph.EdgePolicy = ProblemGraph.AboveMean,
-    /** training cap per cluster for the supervised (no-AL) variant. */
-    supervisedCap: Int = 20000,
     seed: Long = 7,
 ) {
   def alConfig: ALConfig = ALConfig(kModels = alK, batchSize = alBatch, initSize = alInit)
@@ -53,13 +63,6 @@ object MoRER {
   private def poolColumns(pairs: DataFrame): DataFrame =
     pairs.select("problemId", "recA", "recB", "features", "label")
 
-  private def clusterGraph(g: ProblemGraph, cfg: MoRERConfig): Array[Int] =
-    cfg.clusterAlgo match {
-      case "leiden"    => Leiden.cluster(g.nodes.size, g.edges, seed = cfg.seed)
-      case "labelprop" => Leiden.labelPropagation(g.nodes.size, g.edges, seed = cfg.seed)
-      case other       => throw new IllegalArgumentException(s"unknown cluster algo $other")
-    }
-
   /** Initialize the repository from the solved problems P_I
     * (steps 1–3 of Fig. 3).
     *
@@ -76,7 +79,7 @@ object MoRER {
   ): Repository = {
     val ids = initIds.filter(allHists.contains).sorted
     val graph = ProblemGraph.build(allHists, ids, cfg.test, cfg.edgePolicy)
-    val comm  = clusterGraph(graph, cfg)
+    val comm  = cfg.clusterAlgo.cluster(graph, cfg.seed)
 
     var infos: Seq[Budget.ClusterInfo] = comm.zipWithIndex
       .groupBy(_._1)
@@ -106,31 +109,22 @@ object MoRER {
     val pairsI = poolColumns(ds.pairs.filter(col("problemId").isin(ids: _*))).cache()
     val idf = ModelRepository.idfScores(spark, pairsI, clusterOfProblem)
 
-    var models = Map.empty[Int, ClusterModel]
-    var modelOf = Map.empty[String, Int]
-    var spent = 0
-    var nextId = 0
-    infos.foreach { info =>
+    // Cluster model `id` serves the problems of infos(id).
+    val models = infos.zipWithIndex.map { case (info, id) =>
       val pool = pairsI.filter(col("problemId").isin(info.problemIds: _*))
-      val cm = cfg.modelGen match {
-        case "supervised" =>
-          val training = supervisedSample(pool, cfg.supervisedCap, cfg.seed)
-          ModelRepository.fitFromTraining(nextId, training, info.problemIds.toSet,
-            ds.numFeatures, cfg.numBins, cfg.rfTrees, cfg.rfDepth, cfg.seed + nextId)
-        case _ =>
-          val cm0 = ModelRepository.buildClusterModel(spark, nextId, pool,
-            info.problemIds.toSet, budgets(info.id), cfg.al, cfg.alConfig, idf,
-            ds.numFeatures, cfg.numBins, cfg.rfTrees, cfg.rfDepth, cfg.seed + nextId)
-          spent += cm0.training.size
-          cm0
+      val training = cfg.modelGen match {
+        case ModelGen.ActiveLearning =>
+          cfg.al.select(spark, pool, budgets(info.id), cfg.alConfig, idf, cfg.seed + id)
+        case ModelGen.Supervised(cap) => supervisedSample(pool, cap, cfg.seed)
       }
-      models += nextId -> cm
-      modelOf ++= info.problemIds.map(_ -> nextId)
-      nextId += 1
+      ModelRepository.fit(id, training, ds.numFeatures, cfg, cfg.seed + id)
     }
     pairsI.unpersist()
 
-    Repository(models, graph, modelOf, allHists, vectorCounts, ids.toSet, spent, nextId)
+    val spent = if (cfg.modelGen == ModelGen.ActiveLearning) models.map(_.training.size).sum else 0
+    val modelOf = infos.zipWithIndex.flatMap { case (info, id) => info.problemIds.map(_ -> id) }.toMap
+    Repository(models.map(m => m.id -> m).toMap, graph, modelOf, allHists, vectorCounts,
+      ids.toSet, spent, models.size)
   }
 
   /** The supervised (no-AL) model-generation variant: all pool vectors
@@ -158,17 +152,13 @@ object MoRER {
   ): (Confusion, Repository) = {
     val h = repo.problemHists(pid)
 
-    // Extend G_P: edges from the new problem to every existing node,
-    // filtered by the graph's current mean edge weight (same sparsity
-    // policy as at build time).
+    // Extend G_P: the graph keeps the new problem's edges that reach its
+    // build-time cut.
     val sims = repo.graph.nodes.map(n =>
       n -> DistributionAnalysis.problemSimilarity(h, repo.problemHists(n), cfg.test))
-    val cut =
-      if (repo.graph.edges.isEmpty) 0.0
-      else repo.graph.edges.values.sum / repo.graph.edges.size
-    val graph2 = repo.graph.addNode(pid, sims.filter(_._2 >= cut))
+    val graph2 = repo.graph.addNode(pid, sims)
 
-    val comm = clusterGraph(graph2, cfg)
+    val comm = cfg.clusterAlgo.cluster(graph2, cfg.seed)
     val myComm = comm(graph2.index(pid))
     val members = graph2.nodes.zipWithIndex.collect { case (n, i) if comm(i) == myComm => n }
     val solvedMembers   = members.filter(repo.solvedT.contains)
@@ -184,10 +174,9 @@ object MoRER {
         // cluster minimum, floored at twice the AL warm-start size so the
         // fresh model sees both classes.
         val newBudget = math.max(cfg.bMin, cfg.alConfig.initSize * 2)
-        val cm = ModelRepository.buildClusterModel(spark, repo.nextId,
-          poolOf(unsolvedMembers), unsolvedMembers.toSet, newBudget, cfg.al,
-          cfg.alConfig, Map.empty, ds.numFeatures, cfg.numBins, cfg.rfTrees,
-          cfg.rfDepth, cfg.seed + repo.nextId)
+        val seed = cfg.seed + repo.nextId
+        val training = cfg.al.select(spark, poolOf(unsolvedMembers), newBudget, cfg.alConfig, Map.empty, seed)
+        val cm = ModelRepository.fit(repo.nextId, training, ds.numFeatures, cfg, seed)
         val r = repo.copy(
           clusters = repo.clusters + (repo.nextId -> cm),
           graph = graph2,
@@ -215,9 +204,7 @@ object MoRER {
           val bNew = math.max(1, math.round(cov * prev.training.size).toInt)
           val fresh = cfg.al.select(spark, poolOf(unsolvedMembers), bNew,
             cfg.alConfig, Map.empty, cfg.seed + repo.nextId)
-          val cm = ModelRepository.fitFromTraining(prevId,
-            prev.training ++ fresh, prev.problemIds ++ unsolvedMembers,
-            ds.numFeatures, cfg.numBins, cfg.rfTrees, cfg.rfDepth, cfg.seed + prevId)
+          val cm = ModelRepository.fit(prevId, prev.training ++ fresh, ds.numFeatures, cfg, cfg.seed + prevId)
           val r = repo.copy(
             clusters = repo.clusters + (prevId -> cm),
             graph = graph2,
@@ -250,9 +237,7 @@ object MoRER {
       cfg: MoRERConfig,
   ): MoRERResult = {
     val allHists = DistributionAnalysis.histograms(ds.pairs, ds.numFeatures, cfg.numBins)
-    val counts = ds.pairs.groupBy("problemId").count().collect()
-      .map(r => r.getString(0) -> r.getLong(1)).toMap
-    val repo = initRepository(spark, ds, initIds, allHists, counts, cfg)
+    val repo = initRepository(spark, ds, initIds, allHists, DistributionAnalysis.pairCounts(allHists), cfg)
     val present = unsolvedIds.filter(allHists.contains).sorted
 
     cfg.selection match {

@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import scala.collection.mutable
-import repro.al.{ALConfig, ActiveLearner}
 import repro.ml.{LabeledVector, PoolVector, RandomForest}
 
 /** One repository entry: the classifier of a cluster of similar ER
@@ -15,7 +14,6 @@ final case class ClusterModel(
     id: Int,
     model: RandomForest,
     training: IndexedSeq[PoolVector],
-    problemIds: Set[String],
     hist: IndexedSeq[FeatureHistogram],
 )
 
@@ -23,7 +21,8 @@ final case class ClusterModel(
   *
   * @param clusters      stable-id → cluster model
   * @param graph         ER-problem similarity graph G_P (grows under sel_cov)
-  * @param modelOf       problem id → stable cluster-model id
+  * @param modelOf       problem id → stable cluster-model id; the one
+  *                      record of which problems each model serves
   * @param problemHists  per-problem feature histograms of every problem
   *                      integrated into the graph so far
   * @param vectorCounts  per-problem pair counts (|p_{k,l}|)
@@ -99,45 +98,23 @@ object ModelRepository {
     clustersOf.iterator.map { case (r, n) => r -> math.log(numClusters.toDouble / n) }.toMap
   }
 
-  /** Train one cluster model: AL-select `budget` vectors from the
-    * cluster's pool, fit the classifier, summarize the training vectors.
+  /** Fit a cluster model from its selected training vectors: the
+    * classifier, and the histograms of those vectors that sel_base
+    * compares new problems against.
     */
-  def buildClusterModel(
-      spark: SparkSession,
-      id: Int,
-      pool: DataFrame,
-      problemIds: Set[String],
-      budget: Int,
-      al: ActiveLearner,
-      alCfg: ALConfig,
-      idf: Map[Long, Double],
-      numFeatures: Int,
-      numBins: Int,
-      rfTrees: Int,
-      rfDepth: Int,
-      seed: Long,
-  ): ClusterModel = {
-    val selected = al.select(spark, pool, budget, alCfg, idf, seed)
-    fitFromTraining(id, selected, problemIds, numFeatures, numBins, rfTrees, rfDepth, seed)
-  }
-
-  /** Fit the cluster classifier from already-selected training vectors. */
-  def fitFromTraining(
+  def fit(
       id: Int,
       training: IndexedSeq[PoolVector],
-      problemIds: Set[String],
       numFeatures: Int,
-      numBins: Int,
-      rfTrees: Int,
-      rfDepth: Int,
+      cfg: MoRERConfig,
       seed: Long,
   ): ClusterModel = {
     val train = training.map(v => LabeledVector(v.features, v.oracleLabel))
     val model =
       if (train.isEmpty) RandomForest(IndexedSeq(repro.ml.Leaf(0.0)))
-      else RandomForest.fit(train, numTrees = rfTrees, maxDepth = rfDepth, seed = seed)
+      else RandomForest.fit(train, numTrees = cfg.rfTrees, maxDepth = cfg.rfDepth, seed = seed)
     val hist = DistributionAnalysis.histogramOfVectors(
-      s"cluster$id", training.map(_.features), numFeatures, numBins)
-    ClusterModel(id, model, training, problemIds, hist)
+      s"cluster$id", training.map(_.features), numFeatures, cfg.numBins)
+    ClusterModel(id, model, training, hist)
   }
 }

@@ -6,20 +6,24 @@ package repro.core
   * distribution similarities sim_p. Graphs here are tiny (≤ a few
   * hundred vertices — one per ER problem), so construction and
   * clustering are driver-side.
+  *
+  * @param cut the similarity an edge must reach to be kept, fixed by the
+  *            build-time `EdgePolicy`; vertices added later are held to it
   */
-final case class ProblemGraph(nodes: IndexedSeq[String], edges: Map[(Int, Int), Double]) {
+final case class ProblemGraph(nodes: IndexedSeq[String], edges: Map[(Int, Int), Double], cut: Double) {
   val index: Map[String, Int] = nodes.zipWithIndex.toMap
 
-  /** Add a vertex with the given weighted edges to existing vertices —
-    * used by sel_cov when a new ER problem arrives.
+  /** Add a vertex given its similarities to existing vertices — used by
+    * sel_cov when a new ER problem arrives. Similarities below `cut` do
+    * not become edges, so the graph stays as sparse as it was built.
     */
-  def addNode(id: String, newEdges: Seq[(String, Double)]): ProblemGraph = {
+  def addNode(id: String, sims: Seq[(String, Double)]): ProblemGraph = {
     require(!index.contains(id), s"node $id already present")
     val k = nodes.size
-    val added = newEdges.collect {
-      case (other, w) if index.contains(other) => ((index(other), k), w)
+    val added = sims.collect {
+      case (other, w) if w >= cut && index.contains(other) => ((index(other), k), w)
     }
-    ProblemGraph(nodes :+ id, edges ++ added)
+    copy(nodes = nodes :+ id, edges = edges ++ added)
   }
 }
 
@@ -49,13 +53,11 @@ object ProblemGraph {
       j <- (i + 1) until ids.size
     } yield ((i, j), DistributionAnalysis.problemSimilarity(hists(ids(i)), hists(ids(j)), test))
 
-    val kept = policy match {
-      case Complete     => sims
-      case Threshold(t) => sims.filter(_._2 >= t)
-      case AboveMean    =>
-        if (sims.isEmpty) sims
-        else { val m = sims.map(_._2).sum / sims.size; sims.filter(_._2 >= m) }
+    val cut = policy match {
+      case Threshold(t)               => t
+      case AboveMean if sims.nonEmpty => sims.map(_._2).sum / sims.size
+      case _                          => Double.NegativeInfinity // Complete, or no pair to average
     }
-    ProblemGraph(ids, kept.toMap)
+    ProblemGraph(ids, sims.filter(_._2 >= cut).toMap, cut)
   }
 }

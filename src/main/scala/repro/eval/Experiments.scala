@@ -3,7 +3,7 @@ package repro.eval
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import scala.util.Random
-import repro.al.{ALConfig, AlmserAL, BootstrapAL}
+import repro.al.{ALConfig, ActiveLearner, AlmserAL, BootstrapAL}
 import repro.baselines._
 import repro.core._
 import repro.erdata.{ERDataset, MultiSourceGen}
@@ -76,29 +76,23 @@ object Experiments {
     r
   }
 
-  private def alOf(name: String) = name match {
-    case "Almser"    => AlmserAL
-    case "Bootstrap" => BootstrapAL
-    case other       => throw new IllegalArgumentException(s"unknown AL $other")
-  }
-
   /** MoRER with the given AL method (full pipeline timed end to end). */
   def runMoRER(
       spark: SparkSession,
       b: Bundle,
-      alName: String,
+      al: ActiveLearner,
       budget: Int,
       test: DistTest = KS,
       selection: String = "base",
       tCov: Double = 0.25,
       seed: Long = 7,
   ): RunResult = {
-    val cfg = MoRERConfig(test = test, al = alOf(alName), bTot = budget,
+    val cfg = MoRERConfig(test = test, al = al, bTot = budget,
       selection = selection, tCov = tCov, seed = seed)
     val (res, secs) = Timing.timed {
       MoRER.run(spark, b.ds, b.initIds, b.unsolvedIds, cfg)
     }
-    note(RunResult(s"MoRER+$alName", b.name, budget, res.f1, secs, res.labelsSpent))
+    note(RunResult(s"MoRER+${al.name}", b.name, budget, res.f1, secs, res.labelsSpent))
   }
 
   def runAlmserStandalone(spark: SparkSession, b: Bundle, budget: Int, seed: Long = 7): RunResult = {
@@ -178,7 +172,7 @@ object Experiments {
         MoRERConfig(bTot = 200, bMin = 5, seed = seed)))
       val morer = for {
         budget <- budgets
-        al <- Seq("Almser", "Bootstrap")
+        al <- Seq(AlmserAL, BootstrapAL)
       } yield runMoRER(spark, b, al, budget, seed = seed)
       val almser = budgets.map(budget => runAlmserStandalone(spark, b, budget, seed))
       val others = Seq(
@@ -233,8 +227,8 @@ object Experiments {
       val b = load(spark, "dexter", sf, ratioInit = ratio, seed = seed)
       val runs = for {
         budget <- budgets
-        alName <- Seq("Almser", "Bootstrap")
-      } yield ((budget, ratio, alName), runMoRER(spark, b, alName, budget, seed = seed + 7).f1)
+        al <- Seq(AlmserAL, BootstrapAL)
+      } yield ((budget, ratio, al.name), runMoRER(spark, b, al, budget, seed = seed + 7).f1)
       unload(b)
       runs
     }
@@ -242,10 +236,10 @@ object Experiments {
     (for {
       ratio <- ratios
       budget <- budgets
-      alName <- Seq("Almser", "Bootstrap")
+      al <- Seq(AlmserAL, BootstrapAL)
     } yield {
-      val (m, sd) = Metrics.meanStd(byCell((budget, ratio, alName)).map(_._2))
-      Table5Row(budget, ratio, alName, m, sd)
+      val (m, sd) = Metrics.meanStd(byCell((budget, ratio, al.name)).map(_._2))
+      Table5Row(budget, ratio, al.name, m, sd)
     })
   }
 
@@ -263,9 +257,9 @@ object Experiments {
       val b = load(spark, name, sf)
       val out = for {
         test <- DistTest.all
-        al <- Seq("Bootstrap", "Almser")
+        al <- Seq(BootstrapAL, AlmserAL)
       } yield runMoRER(spark, b, al, budget, test = test, seed = seed)
-        .copy(method = s"MoRER+$al/${test.name}")
+        .copy(method = s"MoRER+${al.name}/${test.name}")
       unload(b)
       out
     }
@@ -283,10 +277,10 @@ object Experiments {
   ): Seq[RunResult] =
     datasets.flatMap { name =>
       val b = load(spark, name, sf)
-      val base = runMoRER(spark, b, "Bootstrap", budget, selection = "base", seed = seed)
+      val base = runMoRER(spark, b, BootstrapAL, budget, selection = "base", seed = seed)
         .copy(method = "sel_base")
       val covs = Seq(0.1, 0.25, 0.5).map { t =>
-        runMoRER(spark, b, "Bootstrap", budget, selection = "cov", tCov = t, seed = seed)
+        runMoRER(spark, b, BootstrapAL, budget, selection = "cov", tCov = t, seed = seed)
           .copy(method = s"sel_cov($t)")
       }
       unload(b)

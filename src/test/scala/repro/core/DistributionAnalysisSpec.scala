@@ -82,13 +82,6 @@ class DistributionAnalysisSpec extends SparkSpec {
     }
   }
 
-  test("DistTest.byName resolves all tests, case-insensitively") {
-    assert(DistTest.byName("ks") == KS)
-    assert(DistTest.byName("WD") == WD)
-    assert(DistTest.byName("psi") == PSI)
-    assertThrows[IllegalArgumentException](DistTest.byName("nope"))
-  }
-
   // -------------------------------------------------- problem similarity
 
   test("problemSimilarity of a problem with itself is 1") {
@@ -136,6 +129,7 @@ class DistributionAnalysisSpec extends SparkSpec {
     hs.foreach { case (pid, fh) =>
       fh.foreach(h => assert(h.total == counts(pid), s"$pid feature ${h.feature}"))
     }
+    assert(DistributionAnalysis.pairCounts(hs) == counts)
   }
 
   test("histogram bin counts match DuckDB binning (oracle)") {

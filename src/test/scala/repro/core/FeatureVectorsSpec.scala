@@ -96,15 +96,4 @@ class FeatureVectorsSpec extends SparkSpec {
       .map(r => r.getInt(0) -> r.getDouble(1)).toMap
     assert(m(1) > m(0) + 0.2, s"match ${m(1)} vs nonmatch ${m(0)}")
   }
-
-  test("explodedFeatures adds one named column per spec") {
-    val ds = TestData.camera
-    val df = FeatureVectors.explodedFeatures(ds.pairs, ds.specs)
-    ds.specs.foreach(s => assert(df.columns.contains(s.name)))
-    val r = df.select("features", ds.specs.map(_.name): _*).limit(5).collect()
-    r.foreach { row =>
-      val arr = row.getSeq[Double](0)
-      ds.specs.indices.foreach(i => assert(row.getDouble(i + 1) == arr(i)))
-    }
-  }
 }

@@ -55,6 +55,8 @@ class MoRERPipelineSpec extends SparkSpec {
       cfg(MoRERConfig(selection = "cov", tCov = 0.25)))
     assert(res.repo.graph.nodes.toSet ==
       (split._1.toSet ++ split._2.take(2).toSet).filter(res.repo.problemHists.contains))
+    res.repo.graph.nodes.foreach(p => assert(res.repo.modelOf.contains(p), p))
+    assert(res.repo.modelOf.values.forall(res.repo.clusters.contains))
   }
 
   test("sel_cov with a low threshold spends extra labels (retraining)") {
@@ -94,13 +96,13 @@ class MoRERPipelineSpec extends SparkSpec {
 
   test("pipeline works with label propagation clustering") {
     val res = MoRER.run(spark, ds, split._1, split._2,
-      cfg(MoRERConfig(clusterAlgo = "labelprop")))
+      cfg(MoRERConfig(clusterAlgo = ClusterAlgo.LabelPropagation)))
     assert(res.f1 > 0.7, s"F1 ${res.f1}")
   }
 
   test("supervised model generation spends no labels and scores at least as well") {
     val sup = MoRER.run(spark, ds, split._1, split._2,
-      cfg(MoRERConfig(modelGen = "supervised", supervisedCap = 2000)))
+      cfg(MoRERConfig(modelGen = ModelGen.Supervised(cap = 2000))))
     assert(sup.labelsSpent == 0)
     assert(sup.f1 >= baseResult.f1 - 0.05, s"supervised ${sup.f1} vs AL ${baseResult.f1}")
   }

@@ -79,26 +79,28 @@ class ModelRepositorySpec extends SparkSpec {
     assert(ModelRepository.idfScores(spark, TestData.camera.pairs, Map.empty).isEmpty)
   }
 
-  test("buildClusterModel consumes at most the given budget and stores training vectors") {
+  private val fitCfg = MoRERConfig(numBins = 10, rfTrees = 5, rfDepth = 6)
+
+  test("fit on an AL selection stores the selected training vectors") {
     val ds = TestData.camera
-    val cm = ModelRepository.buildClusterModel(spark, 0, pool(), ds.problemIds.toSet,
-      budget = 80, BootstrapAL, repro.al.ALConfig(kModels = 5, batchSize = 40, initSize = 20),
-      Map.empty, ds.numFeatures, 20, rfTrees = 5, rfDepth = 6, seed = 3)
-    assert(cm.training.size <= 80)
+    val training = BootstrapAL.select(spark, pool(), budget = 80,
+      repro.al.ALConfig(kModels = 5, batchSize = 40, initSize = 20), Map.empty, seed = 3)
+    val cm = ModelRepository.fit(0, training, ds.numFeatures, fitCfg, seed = 3)
+    assert(cm.training == training && training.size <= 80)
     assert(cm.hist.size == ds.numFeatures)
     assert(cm.hist(0).total == cm.training.size)
   }
 
-  test("fitFromTraining with empty training yields an always-nonmatch model") {
-    val cm = ModelRepository.fitFromTraining(0, IndexedSeq.empty, Set("p"), 4, 10, 5, 6, 1)
+  test("fit with empty training yields an always-nonmatch model") {
+    val cm = ModelRepository.fit(0, IndexedSeq.empty, 4, fitCfg, seed = 1)
     assert(cm.model.predict(Array(1.0, 1.0, 1.0, 1.0)) == 0)
   }
 
-  test("fitFromTraining histograms summarize exactly the training vectors") {
+  test("fit histograms summarize exactly the training vectors") {
     val vecs = IndexedSeq(
       PoolVector("p", 1, 2, Array(0.95, 0.04), 1),
       PoolVector("p", 3, 4, Array(0.05, 0.96), 0))
-    val cm = ModelRepository.fitFromTraining(1, vecs, Set("p"), 2, 10, 3, 4, 2)
+    val cm = ModelRepository.fit(1, vecs, 2, fitCfg, seed = 2)
     assert(cm.hist(0).bins(9) == 1 && cm.hist(0).bins(0) == 1)
     assert(cm.hist(1).bins(0) == 1 && cm.hist(1).bins(9) == 1)
   }

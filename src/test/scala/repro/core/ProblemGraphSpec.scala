@@ -55,6 +55,23 @@ class ProblemGraphSpec extends AnyFunSuite {
     assert(!g2.edges.contains((1, 2)))
   }
 
+  test("addNode holds a new problem's edges to the build-time above-mean cut") {
+    // sims: a-b and c-d are 1, the four cross pairs 0; the build-time mean
+    // is 1/3 while the kept edges average 1
+    val g = ProblemGraph.build(hists, Seq("a", "b", "c", "d"), KS)
+    assert(math.abs(g.cut - 1.0 / 3) < 1e-12)
+    val g2 = g.addNode("e", Seq("a" -> 0.5, "c" -> 0.2))
+    assert(g2.edges.removedAll(g.edges.keys) == Map((0, 4) -> 0.5))
+  }
+
+  test("addNode keeps the cut of every edge policy") {
+    val complete = ProblemGraph.build(hists, Seq("a", "b"), KS, ProblemGraph.Complete)
+    assert(complete.addNode("e", Seq("a" -> 0.0)).edges.contains((0, 2)))
+    val threshold = ProblemGraph.build(hists, Seq("a", "b"), KS, ProblemGraph.Threshold(0.6))
+    val g2 = threshold.addNode("e", Seq("a" -> 0.6, "b" -> 0.59))
+    assert(g2.edges.contains((0, 2)) && !g2.edges.contains((1, 2)))
+  }
+
   test("addNode rejects duplicates and unknown edge targets are dropped") {
     val g = ProblemGraph.build(hists, Seq("a", "b"), KS, ProblemGraph.Complete)
     assertThrows[IllegalArgumentException](g.addNode("a", Nil))
