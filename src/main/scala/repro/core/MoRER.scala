@@ -9,15 +9,47 @@ import repro.eval.Metrics.Confusion
 import repro.ml.PoolVector
 
 /** How each cluster model gets its training data (paper Table 3). */
-sealed trait ModelGen
+sealed trait ModelGen {
+  /** Draw a cluster's training vectors from its `pool`, and return them
+    * with the number of labels they cost. `budget`, `idf` and `seed` steer
+    * the AL selection; `idf` is evaluated only by a draw that reads it.
+    */
+  def draw(
+      spark: SparkSession,
+      pool: DataFrame,
+      budget: Int,
+      idf: => Map[Long, Double],
+      seed: Long,
+      cfg: MoRERConfig,
+  ): (IndexedSeq[PoolVector], Int)
+}
 
 object ModelGen {
-  /** Budgeted active learning over the cluster's pool (the paper's default). */
-  case object ActiveLearning extends ModelGen
-  /** Every pool vector with its gold label, sampled down to `cap` for
-    * tractability; no labels are charged against the budget.
+  /** Budgeted active learning over the cluster's pool (the paper's
+    * default); every selected pair costs one label.
     */
-  final case class Supervised(cap: Int = 20000) extends ModelGen
+  case object ActiveLearning extends ModelGen {
+    def draw(spark: SparkSession, pool: DataFrame, budget: Int, idf: => Map[Long, Double],
+             seed: Long, cfg: MoRERConfig): (IndexedSeq[PoolVector], Int) = {
+      val selected = cfg.al.select(spark, pool, budget, cfg.alConfig, idf, seed)
+      (selected, selected.size)
+    }
+  }
+
+  /** Every pool vector with its gold label, sampled down to `cap` (seeded
+    * by `cfg.seed`) for tractability; no labels are charged against the
+    * budget.
+    */
+  final case class Supervised(cap: Int = 20000) extends ModelGen {
+    def draw(spark: SparkSession, pool: DataFrame, budget: Int, idf: => Map[Long, Double],
+             seed: Long, cfg: MoRERConfig): (IndexedSeq[PoolVector], Int) = {
+      val n = pool.count()
+      val sampled =
+        if (n <= cap) pool
+        else pool.sample(withReplacement = false, cap.toDouble / n, cfg.seed)
+      (sampled.collect().toIndexedSeq.map(ActiveLearner.toPoolVector), 0)
+    }
+  }
 }
 
 /** MoRER configuration — the paper's parameter grid (Table 3). Defaults
@@ -45,13 +77,10 @@ final case class MoRERConfig(
   def alConfig: ALConfig = ALConfig(kModels = alK, batchSize = alBatch, initSize = alInit)
 }
 
-final case class MoRERResult(
-    confusion: Confusion,
-    repo: Repository,
-    /** pooled F1 over all unsolved problems. */
-    labelsSpent: Int,
-) {
+final case class MoRERResult(confusion: Confusion, repo: Repository) {
+  /** pooled F1 over all unsolved problems. */
   def f1: Double = confusion.f1
+  def labelsSpent: Int = repo.labelsSpent
 }
 
 /** End-to-end MoRER pipeline (paper §4): distribution analysis →
@@ -105,37 +134,23 @@ object MoRER {
     val budgets = Budget.distribute(infos, cfg.bTot, cfg.bMin)
     val clusterOfProblem = infos.flatMap(c => c.problemIds.map(_ -> c.id)).toMap
 
-    // idfScores' collect is the first pass over pairsI and fills its cache.
+    // Under AL the first draw computes the IDF scores before its
+    // selection; their collect is the first pass over pairsI and fills its
+    // cache. The supervised draw never reads them.
     val pairsI = poolColumns(ds.pairs.filter(col("problemId").isin(ids: _*))).cache()
-    val idf = ModelRepository.idfScores(spark, pairsI, clusterOfProblem)
+    lazy val idf = ModelRepository.idfScores(spark, pairsI, clusterOfProblem)
 
     // Cluster model `id` serves the problems of infos(id).
-    val models = infos.zipWithIndex.map { case (info, id) =>
+    val (models, labels) = infos.zipWithIndex.map { case (info, id) =>
       val pool = pairsI.filter(col("problemId").isin(info.problemIds: _*))
-      val training = cfg.modelGen match {
-        case ModelGen.ActiveLearning =>
-          cfg.al.select(spark, pool, budgets(info.id), cfg.alConfig, idf, cfg.seed + id)
-        case ModelGen.Supervised(cap) => supervisedSample(pool, cap, cfg.seed)
-      }
-      ModelRepository.fit(id, training, ds.numFeatures, cfg, cfg.seed + id)
-    }
+      val (training, spent) = cfg.modelGen.draw(spark, pool, budgets(info.id), idf, cfg.seed + id, cfg)
+      (ModelRepository.fit(id, training, ds.numFeatures, cfg), spent)
+    }.unzip
     pairsI.unpersist()
 
-    val spent = if (cfg.modelGen == ModelGen.ActiveLearning) models.map(_.training.size).sum else 0
     val modelOf = infos.zipWithIndex.flatMap { case (info, id) => info.problemIds.map(_ -> id) }.toMap
     Repository(models.map(m => m.id -> m).toMap, graph, modelOf, allHists, vectorCounts,
-      ids.toSet, spent, models.size)
-  }
-
-  /** The supervised (no-AL) model-generation variant: all pool vectors
-    * as training data, capped by sampling for tractability.
-    */
-  private def supervisedSample(pool: DataFrame, cap: Int, seed: Long): IndexedSeq[PoolVector] = {
-    val n = pool.count()
-    val sampled =
-      if (n <= cap) pool
-      else pool.sample(withReplacement = false, cap.toDouble / n, seed)
-    sampled.collect().toIndexedSeq.map(ActiveLearner.toPoolVector)
+      ids.toSet, labels.sum, models.size)
   }
 
   /** sel_cov: integrate one new ER problem into the graph, re-cluster,
@@ -164,61 +179,51 @@ object MoRER {
     val solvedMembers   = members.filter(repo.solvedT.contains)
     val unsolvedMembers = members.filterNot(repo.solvedT.contains) // ⊆ U, includes pid
 
-    def poolOf(pids: Seq[String]): DataFrame =
-      poolColumns(ds.pairs.filter(col("problemId").isin(pids: _*)))
+    // Reuse the previous cluster with maximum overlap (majority of the
+    // solved members' current model assignments); a cluster without solved
+    // members gets a new model.
+    val prevId = solvedMembers.flatMap(repo.modelOf.get)
+      .groupBy(identity).maxByOption { case (id, xs) => (xs.size, -id) }.map(_._1)
+    val modelId = prevId.getOrElse(repo.nextId)
 
-    val (modelId, repo2) =
-      if (solvedMembers.isEmpty) {
-        // Entirely-new cluster: train a fresh model. The paper specifies
-        // *that* a new model is trained but not its budget; we grant the
-        // cluster minimum, floored at twice the AL warm-start size so the
-        // fresh model sees both classes.
-        val newBudget = math.max(cfg.bMin, cfg.alConfig.initSize * 2)
-        val seed = cfg.seed + repo.nextId
-        val training = cfg.al.select(spark, poolOf(unsolvedMembers), newBudget, cfg.alConfig, Map.empty, seed)
-        val cm = ModelRepository.fit(repo.nextId, training, ds.numFeatures, cfg, seed)
-        val r = repo.copy(
-          clusters = repo.clusters + (repo.nextId -> cm),
+    // Coverage ratio (Eq. 13): share of the cluster's vectors coming
+    // from problems not yet used for training.
+    val uVecs = unsolvedMembers.map(p => repo.vectorCounts.getOrElse(p, 0L)).sum.toDouble
+    val aVecs = members.map(p => repo.vectorCounts.getOrElse(p, 0L)).sum.toDouble
+    val cov = if (aVecs > 0) uVecs / aVecs else 0.0
+
+    // The training kept from the previous model and the budget of the
+    // fresh draw, when the cluster model is (re)trained.
+    val toTrain: Option[(IndexedSeq[PoolVector], Int)] = prevId match {
+      case None =>
+        // Entirely-new cluster. The paper specifies *that* a new model is
+        // trained but not its budget; we grant the cluster minimum, floored
+        // at twice the AL warm-start size so the fresh model sees both
+        // classes.
+        Some((IndexedSeq.empty, math.max(cfg.bMin, cfg.alConfig.initSize * 2)))
+      case Some(id) if cov > cfg.tCov =>
+        // Retrain (Eq. 14): b_new = b_tot · cov · |T∩C_prev|/b_tot
+        //                        = cov · (previous training size).
+        val kept = repo.clusters(id).training
+        Some((kept, math.max(1, math.round(cov * kept.size).toInt)))
+      case Some(_) => None
+    }
+
+    val repo2 = toTrain match {
+      case Some((kept, budget)) =>
+        val pool = poolColumns(ds.pairs.filter(col("problemId").isin(unsolvedMembers: _*)))
+        val (fresh, labels) = cfg.modelGen.draw(spark, pool, budget, Map.empty, cfg.seed + repo.nextId, cfg)
+        val cm = ModelRepository.fit(modelId, kept ++ fresh, ds.numFeatures, cfg)
+        repo.copy(
+          clusters = repo.clusters + (modelId -> cm),
           graph = graph2,
-          modelOf = repo.modelOf ++ unsolvedMembers.map(_ -> repo.nextId),
+          modelOf = repo.modelOf ++ members.map(_ -> modelId),
           solvedT = repo.solvedT ++ unsolvedMembers,
-          labelsSpent = repo.labelsSpent + cm.training.size,
-          nextId = repo.nextId + 1)
-        (cm.id, r)
-      } else {
-        // Reuse the previous cluster with maximum overlap (majority of the
-        // solved members' current model assignments).
-        val prevId = solvedMembers.flatMap(repo.modelOf.get)
-          .groupBy(identity).maxBy { case (id, xs) => (xs.size, -id) }._1
-        val prev = repo.clusters(prevId)
-
-        // Coverage ratio (Eq. 13): share of the cluster's vectors coming
-        // from problems not yet used for training.
-        val uVecs = unsolvedMembers.map(p => repo.vectorCounts.getOrElse(p, 0L)).sum.toDouble
-        val aVecs = members.map(p => repo.vectorCounts.getOrElse(p, 0L)).sum.toDouble
-        val cov = if (aVecs > 0) uVecs / aVecs else 0.0
-
-        if (cov > cfg.tCov) {
-          // Retrain (Eq. 14): b_new = b_tot · cov · |T∩C_prev|/b_tot
-          //                        = cov · (previous training size).
-          val bNew = math.max(1, math.round(cov * prev.training.size).toInt)
-          val fresh = cfg.al.select(spark, poolOf(unsolvedMembers), bNew,
-            cfg.alConfig, Map.empty, cfg.seed + repo.nextId)
-          val cm = ModelRepository.fit(prevId, prev.training ++ fresh, ds.numFeatures, cfg, cfg.seed + prevId)
-          val r = repo.copy(
-            clusters = repo.clusters + (prevId -> cm),
-            graph = graph2,
-            modelOf = repo.modelOf ++ members.map(_ -> prevId),
-            solvedT = repo.solvedT ++ unsolvedMembers,
-            labelsSpent = repo.labelsSpent + fresh.size)
-          (prevId, r)
-        } else {
-          val r = repo.copy(
-            graph = graph2,
-            modelOf = repo.modelOf + (pid -> prevId))
-          (prevId, r)
-        }
-      }
+          labelsSpent = repo.labelsSpent + labels,
+          nextId = math.max(repo.nextId, modelId + 1))
+      case None =>
+        repo.copy(graph = graph2, modelOf = repo.modelOf + (pid -> modelId))
+    }
 
     val pred = ModelRepository.classify(spark, ds.pairs.filter(col("problemId") === pid),
       repo2.clusters(modelId).model)
@@ -242,17 +247,13 @@ object MoRER {
 
     cfg.selection match {
       case "base" =>
-        val (conf, _) = solveBaseAllWithTest(spark, ds, repo, present, cfg.test)
-        MoRERResult(conf, repo, repo.labelsSpent)
+        MoRERResult(solveBaseAllWithTest(spark, ds, repo, present, cfg.test)._1, repo)
       case "cov" =>
-        var r = repo
-        var conf = Confusion.empty
-        present.foreach { pid =>
+        val (conf, r) = present.foldLeft((Confusion.empty, repo)) { case ((conf, r), pid) =>
           val (c, r2) = solveCov(spark, ds, r, pid, cfg)
-          conf = conf + c
-          r = r2
+          (conf + c, r2)
         }
-        MoRERResult(conf, r, r.labelsSpent)
+        MoRERResult(conf, r)
       case other => throw new IllegalArgumentException(s"unknown selection $other")
     }
   }

@@ -107,12 +107,11 @@ object ModelRepository {
       training: IndexedSeq[PoolVector],
       numFeatures: Int,
       cfg: MoRERConfig,
-      seed: Long,
   ): ClusterModel = {
     val train = training.map(v => LabeledVector(v.features, v.oracleLabel))
     val model =
       if (train.isEmpty) RandomForest(IndexedSeq(repro.ml.Leaf(0.0)))
-      else RandomForest.fit(train, numTrees = cfg.rfTrees, maxDepth = cfg.rfDepth, seed = seed)
+      else RandomForest.fit(train, numTrees = cfg.rfTrees, maxDepth = cfg.rfDepth, seed = cfg.seed + id)
     val hist = DistributionAnalysis.histogramOfVectors(
       s"cluster$id", training.map(_.features), numFeatures, cfg.numBins)
     ClusterModel(id, model, training, hist)

@@ -69,12 +69,20 @@ object Experiments {
   final case class RunResult(method: String, dataset: String, budget: Int,
                              f1: Double, seconds: Double, labels: Int)
 
-  /** Progress line per finished run (stderr, so table output stays clean). */
-  private def note(r: RunResult): RunResult = {
+  /** Times `body`, which returns the run's F1 and labels, and prints a
+    * progress line per finished run (stderr, so table output stays clean).
+    */
+  private def timedRun(method: String, b: Bundle, budget: Int)(body: => (Double, Int)): RunResult = {
+    val ((f1, labels), secs) = Timing.timed(body)
+    val r = RunResult(method, b.name, budget, f1, secs, labels)
     Console.err.println(
       f"[bench] ${r.dataset}%-7s ${r.method}%-16s b=${r.budget}%5d f1=${r.f1}%.3f t=${r.seconds}%7.1fs")
     r
   }
+
+  /** "all", or the training fraction as a percentage. */
+  private def fractionTag(fraction: Double): String =
+    if (fraction >= 1.0) "all" else s"${(fraction * 100).toInt}%"
 
   /** MoRER with the given AL method (full pipeline timed end to end). */
   def runMoRER(
@@ -89,53 +97,39 @@ object Experiments {
   ): RunResult = {
     val cfg = MoRERConfig(test = test, al = al, bTot = budget,
       selection = selection, tCov = tCov, seed = seed)
-    val (res, secs) = Timing.timed {
-      MoRER.run(spark, b.ds, b.initIds, b.unsolvedIds, cfg)
+    timedRun(s"MoRER+${al.name}", b, budget) {
+      val res = MoRER.run(spark, b.ds, b.initIds, b.unsolvedIds, cfg)
+      (res.f1, res.labelsSpent)
     }
-    note(RunResult(s"MoRER+${al.name}", b.name, budget, res.f1, secs, res.labelsSpent))
   }
 
-  def runAlmserStandalone(spark: SparkSession, b: Bundle, budget: Int, seed: Long = 7): RunResult = {
-    val (conf, secs) = Timing.timed {
-      AlmserStandalone.run(spark, b.ds, b.initIds, b.unsolvedIds, budget, ALConfig(), seed)
+  def runAlmserStandalone(spark: SparkSession, b: Bundle, budget: Int, seed: Long = 7): RunResult =
+    timedRun("Almser", b, budget) {
+      (AlmserStandalone.run(spark, b.ds, b.initIds, b.unsolvedIds, budget, ALConfig(), seed).f1, budget)
     }
-    note(RunResult("Almser", b.name, budget, conf.f1, secs, budget))
-  }
 
-  def runTransER(spark: SparkSession, b: Bundle, fraction: Double, seed: Long = 7): RunResult = {
-    val (conf, secs) = Timing.timed {
-      TransER.run(spark, b.ds, b.initIds, b.unsolvedIds, fraction, seed = seed)
+  def runTransER(spark: SparkSession, b: Bundle, fraction: Double, seed: Long = 7): RunResult =
+    timedRun(s"TransER-${fractionTag(fraction)}", b, 0) {
+      (TransER.run(spark, b.ds, b.initIds, b.unsolvedIds, fraction, seed = seed).f1, 0)
     }
-    val tag = if (fraction >= 1.0) "all" else s"${(fraction * 100).toInt}%"
-    note(RunResult(s"TransER-$tag", b.name, 0, conf.f1, secs, 0))
-  }
 
-  def runDitto(spark: SparkSession, b: Bundle, fraction: Double, seed: Long = 7): RunResult = {
-    val (conf, secs) = Timing.timed {
-      DittoSim.run(spark, b.ds, b.initIds, b.unsolvedIds, fraction, seed = seed)
+  def runDitto(spark: SparkSession, b: Bundle, fraction: Double, seed: Long = 7): RunResult =
+    timedRun(s"Ditto-${fractionTag(fraction)}", b, 0) {
+      (DittoSim.run(spark, b.ds, b.initIds, b.unsolvedIds, fraction, seed = seed).f1, 0)
     }
-    val tag = if (fraction >= 1.0) "all" else s"${(fraction * 100).toInt}%"
-    note(RunResult(s"Ditto-$tag", b.name, 0, conf.f1, secs, 0))
-  }
 
-  def runSudowoodo(spark: SparkSession, b: Bundle, budget: Int, seed: Long = 7): RunResult = {
-    val (conf, secs) = Timing.timed {
-      SudowoodoSim.run(spark, b.ds, b.initIds, b.unsolvedIds, budget, seed = seed)
+  def runSudowoodo(spark: SparkSession, b: Bundle, budget: Int, seed: Long = 7): RunResult =
+    timedRun("Sudowoodo", b, budget) {
+      (SudowoodoSim.run(spark, b.ds, b.initIds, b.unsolvedIds, budget, seed = seed).f1, budget)
     }
-    note(RunResult("Sudowoodo", b.name, budget, conf.f1, secs, budget))
-  }
 
-  def runAnyMatch(spark: SparkSession, b: Bundle, seed: Long = 7): RunResult = {
-    val (conf, secs) = Timing.timed {
-      AnyMatchSim.run(spark, b.ds, b.initIds, b.unsolvedIds, seed = seed)
+  def runAnyMatch(spark: SparkSession, b: Bundle, seed: Long = 7): RunResult =
+    timedRun("AnyMatch", b, 0) {
+      (AnyMatchSim.run(spark, b.ds, b.initIds, b.unsolvedIds, seed = seed).f1, AnyMatchSim.DefaultSample)
     }
-    note(RunResult("AnyMatch", b.name, 0, conf.f1, secs, AnyMatchSim.DefaultSample))
-  }
 
-  def runMultiEM(spark: SparkSession, b: Bundle, seed: Long = 7): RunResult = {
-    val (conf, secs) = Timing.timed { MultiEMSim.run(spark, b.ds, b.unsolvedIds, seed) }
-    note(RunResult("MultiEM", b.name, 0, conf.f1, secs, 0))
-  }
+  def runMultiEM(spark: SparkSession, b: Bundle, seed: Long = 7): RunResult =
+    timedRun("MultiEM", b, 0)((MultiEMSim.run(spark, b.ds, b.unsolvedIds, seed).f1, 0))
 
   // ------------------------------------------------------------- tables
 

@@ -2,7 +2,7 @@ package repro.core
 
 import scala.util.Random
 import repro.{SparkSpec, TestData}
-import repro.al.AlmserAL
+import repro.al.{AlmserAL, SelectionFingerprint}
 
 /** End-to-end integration of the MoRER pipeline on the tiny corpora. */
 class MoRERPipelineSpec extends SparkSpec {
@@ -17,6 +17,8 @@ class MoRERPipelineSpec extends SparkSpec {
 
   private lazy val baseResult =
     MoRER.run(spark, ds, split._1, split._2, cfg())
+  private lazy val lowCovResult = MoRER.run(spark, ds, split._1, split._2,
+    cfg(MoRERConfig(selection = "cov", tCov = 0.05)))
 
   test("repository initialization creates at least one cluster model") {
     assert(baseResult.repo.numClusters >= 1)
@@ -60,9 +62,21 @@ class MoRERPipelineSpec extends SparkSpec {
   }
 
   test("sel_cov with a low threshold spends extra labels (retraining)") {
-    val low = MoRER.run(spark, ds, split._1, split._2,
-      cfg(MoRERConfig(selection = "cov", tCov = 0.05)))
-    assert(low.labelsSpent >= baseResult.labelsSpent)
+    assert(lowCovResult.labelsSpent >= baseResult.labelsSpent)
+  }
+
+  test("sel_cov training fingerprint is unchanged") {
+    // Taken before sel_cov's new-cluster and retrain branches shared one
+    // training step: per cluster id, the size and ordered hash of its
+    // training vectors.
+    val res = lowCovResult
+    assert(res.labelsSpent == 361)
+    assert(res.repo.numClusters == 7)
+    assert(res.f1 == 0.9819494584837546)
+    assert(res.repo.clusters.map { case (id, cm) => id -> SelectionFingerprint.of(cm.training) } == Map(
+      0 -> ((87, -1067973905)), 1 -> ((70, -1472967160)), 2 -> ((42, 76305860)),
+      3 -> ((60, 981350250)), 4 -> ((40, 48535496)), 5 -> ((40, -501262889)),
+      6 -> ((22, 1671184853))))
   }
 
   test("sel_cov with an unreachable threshold only spends labels on brand-new clusters") {
@@ -105,6 +119,12 @@ class MoRERPipelineSpec extends SparkSpec {
       cfg(MoRERConfig(modelGen = ModelGen.Supervised(cap = 2000))))
     assert(sup.labelsSpent == 0)
     assert(sup.f1 >= baseResult.f1 - 0.05, s"supervised ${sup.f1} vs AL ${baseResult.f1}")
+  }
+
+  test("supervised model generation under sel_cov spends no labels") {
+    val sup = MoRER.run(spark, ds, split._1, split._2,
+      cfg(MoRERConfig(modelGen = ModelGen.Supervised(cap = 2000), selection = "cov", tCov = 0.05)))
+    assert(sup.labelsSpent == 0)
   }
 
   test("budget too small for the cluster count fails loudly") {

@@ -85,14 +85,14 @@ class ModelRepositorySpec extends SparkSpec {
     val ds = TestData.camera
     val training = BootstrapAL.select(spark, pool(), budget = 80,
       repro.al.ALConfig(kModels = 5, batchSize = 40, initSize = 20), Map.empty, seed = 3)
-    val cm = ModelRepository.fit(0, training, ds.numFeatures, fitCfg, seed = 3)
+    val cm = ModelRepository.fit(0, training, ds.numFeatures, fitCfg)
     assert(cm.training == training && training.size <= 80)
     assert(cm.hist.size == ds.numFeatures)
     assert(cm.hist(0).total == cm.training.size)
   }
 
   test("fit with empty training yields an always-nonmatch model") {
-    val cm = ModelRepository.fit(0, IndexedSeq.empty, 4, fitCfg, seed = 1)
+    val cm = ModelRepository.fit(0, IndexedSeq.empty, 4, fitCfg)
     assert(cm.model.predict(Array(1.0, 1.0, 1.0, 1.0)) == 0)
   }
 
@@ -100,7 +100,7 @@ class ModelRepositorySpec extends SparkSpec {
     val vecs = IndexedSeq(
       PoolVector("p", 1, 2, Array(0.95, 0.04), 1),
       PoolVector("p", 3, 4, Array(0.05, 0.96), 0))
-    val cm = ModelRepository.fit(1, vecs, 2, fitCfg, seed = 2)
+    val cm = ModelRepository.fit(1, vecs, 2, fitCfg)
     assert(cm.hist(0).bins(9) == 1 && cm.hist(0).bins(0) == 1)
     assert(cm.hist(1).bins(0) == 1 && cm.hist(1).bins(9) == 1)
   }
