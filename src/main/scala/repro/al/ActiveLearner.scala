@@ -17,7 +17,7 @@ import repro.ml.PoolVector
   * also charges gold labels against the budget.
   */
 final case class ALConfig(
-    /** k in Eq. 10 — committee size of the bootstrap uncertainty. */
+    /** k in Eq. 10 — committee size of the bootstrap uncertainty (paper: 100). */
     kModels: Int = 20,
     /** vectors labeled per AL iteration. */
     batchSize: Int = 100,

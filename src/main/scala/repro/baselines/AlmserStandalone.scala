@@ -25,7 +25,7 @@ object AlmserStandalone {
       alCfg: ALConfig = ALConfig(),
       seed: Long = 7,
   ): Confusion = {
-    val pool = BaselineUtil.filterProblems(ds.pairs, trainIds)
+    val pool = ds.pairsOf(trainIds)
       .select("problemId", "recA", "recB", "features", "label")
       .cache()
     pool.count()
@@ -33,8 +33,7 @@ object AlmserStandalone {
     pool.unpersist()
     val train = selected.map(v => LabeledVector(v.features, v.oracleLabel))
     val model = RandomForest.fit(train, numTrees = 10, maxDepth = 8, seed = seed)
-    val pred = ModelRepository.classify(spark,
-      BaselineUtil.filterProblems(ds.pairs, testIds), model)
+    val pred = ModelRepository.classify(spark, ds.pairsOf(testIds), model)
     Metrics.confusion(pred)
   }
 }

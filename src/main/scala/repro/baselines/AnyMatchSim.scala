@@ -1,30 +1,21 @@
 package repro.baselines
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.erdata.ERDataset
-import repro.eval.Metrics
 import repro.eval.Metrics.Confusion
-import repro.ml.{MLP, TextFeatures}
+import repro.ml.TextFeatures
 
 /** Simulator for AnyMatch (Zhang et al., EDBT 2025) — small-language-model
   * matching (GPT-2) trained on a *sampled* subset of pairs. Substitution
-  * (DESIGN.md §3): a small neural pair classifier over dense hashed
-  * char-3-gram features, trained on n_r sampled training pairs. Sampling
-  * plus the smaller network is what gives AnyMatch its runtime edge over
-  * Ditto in the paper; quality sits between the unsupervised methods and
-  * the fully-supervised ones.
+  * (DESIGN.md §3): the text-pair classifier of `BaselineUtil` over dense
+  * hashed char-3-gram features, trained on n_r sampled training pairs.
+  * Training on the sample rather than the full pair set is what gives
+  * AnyMatch its runtime edge over Ditto in the paper; quality sits
+  * between the unsupervised methods and the fully-supervised ones.
   */
 object AnyMatchSim {
-  val Dim = 256
-  val Hidden = 64
   /** n_r — parameterized sample size of training record pairs. */
   val DefaultSample = 5000
-
-  def pairFeatures(aText: String, bText: String): Array[Double] =
-    TextFeatures.densePair(
-      TextFeatures.denseHashed(TextFeatures.charNGrams(aText), Dim),
-      TextFeatures.denseHashed(TextFeatures.charNGrams(bText), Dim))
 
   def run(
       spark: SparkSession,
@@ -34,23 +25,7 @@ object AnyMatchSim {
       sampleSize: Int = DefaultSample,
       epochs: Int = 15,
       seed: Long = 7,
-  ): Confusion = {
-    val trainPairs = BaselineUtil.textPairs(BaselineUtil.filterProblems(ds.pairs, trainIds))
-    val n = trainPairs.count()
-    val sampled =
-      if (n <= sampleSize) trainPairs
-      else trainPairs.sample(withReplacement = false, sampleSize.toDouble / n, seed)
-    val rows = sampled.collect()
-    val xs = rows.map(r => pairFeatures(r.getAs[String]("aText"), r.getAs[String]("bText"))).toIndexedSeq
-    val ys = rows.map(_.getAs[Int]("label")).toIndexedSeq
-    val model = MLP.fitClassifier(xs, ys, hidden = Hidden, epochs = epochs, lr = 0.1, seed = seed)
-
-    val b = spark.sparkContext.broadcast(model)
-    val predUdf = udf { (aText: String, bText: String) =>
-      b.value.predict(pairFeatures(aText, bText))
-    }
-    val test = BaselineUtil.textPairs(BaselineUtil.filterProblems(ds.pairs, testIds))
-      .withColumn("pred", predUdf(col("aText"), col("bText")))
-    Metrics.confusion(test)
-  }
+  ): Confusion =
+    BaselineUtil.textPairClassifier(spark, ds, trainIds, testIds,
+      terms = TextFeatures.charNGrams(_), fraction = 1.0, cap = sampleSize, epochs = epochs, seed = seed)
 }

@@ -1,15 +1,13 @@
 package repro.baselines
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.erdata.ERDataset
-import repro.eval.Metrics
 import repro.eval.Metrics.Confusion
-import repro.ml.{MLP, TextFeatures}
+import repro.ml.TextFeatures
 
 /** Simulator for Ditto (Li et al., VLDB 2020) — supervised
   * transformer-based matching. Substitution (DESIGN.md §3): DistilBERT
-  * fine-tuning is replaced by a one-hidden-layer neural pair classifier
+  * fine-tuning is replaced by the text-pair classifier of `BaselineUtil`
   * over dense hashed token features (|a-b| ⊕ a⊙b, 512-dim input,
   * 64 hidden units) trained with the paper's 10 epochs over the full
   * (or 50%) training pair set. The per-example O(in·hidden) SGD cost
@@ -18,14 +16,7 @@ import repro.ml.{MLP, TextFeatures}
   * analyzes for Ditto.
   */
 object DittoSim {
-  val Dim = 256          // per-record dense hash dims (pair input = 2·Dim)
-  val Hidden = 64
   val TrainCap = 120000  // driver-side cap (stand-in for GPU batch limits)
-
-  def pairFeatures(aText: String, bText: String): Array[Double] =
-    TextFeatures.densePair(
-      TextFeatures.denseHashed(TextFeatures.tokens(aText), Dim),
-      TextFeatures.denseHashed(TextFeatures.tokens(bText), Dim))
 
   /** Train on `trainFraction` of the pairs of `trainIds`, evaluate on
     * `testIds`. Returns the pooled confusion on the test pairs.
@@ -38,28 +29,7 @@ object DittoSim {
       trainFraction: Double = 1.0,
       epochs: Int = 10,
       seed: Long = 7,
-  ): Confusion = {
-    val trainPairs0 = BaselineUtil.textPairs(BaselineUtil.filterProblems(ds.pairs, trainIds))
-    val trainPairs =
-      if (trainFraction >= 1.0) trainPairs0
-      else trainPairs0.sample(withReplacement = false, trainFraction, seed)
-
-    val n = trainPairs.count()
-    val capped =
-      if (n <= TrainCap) trainPairs
-      else trainPairs.sample(withReplacement = false, TrainCap.toDouble / n, seed)
-
-    val rows = capped.collect()
-    val xs = rows.map(r => pairFeatures(r.getAs[String]("aText"), r.getAs[String]("bText"))).toIndexedSeq
-    val ys = rows.map(_.getAs[Int]("label")).toIndexedSeq
-    val model = MLP.fitClassifier(xs, ys, hidden = Hidden, epochs = epochs, lr = 0.1, seed = seed)
-
-    val b = spark.sparkContext.broadcast(model)
-    val predUdf = udf { (aText: String, bText: String) =>
-      b.value.predict(pairFeatures(aText, bText))
-    }
-    val test = BaselineUtil.textPairs(BaselineUtil.filterProblems(ds.pairs, testIds))
-      .withColumn("pred", predUdf(col("aText"), col("bText")))
-    Metrics.confusion(test)
-  }
+  ): Confusion =
+    BaselineUtil.textPairClassifier(spark, ds, trainIds, testIds,
+      terms = TextFeatures.tokens, fraction = trainFraction, cap = TrainCap, epochs = epochs, seed = seed)
 }

@@ -1,9 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.erdata.ERDataset
-import repro.eval.Metrics
 import repro.eval.Metrics.Confusion
 import repro.ml.TextFeatures
 
@@ -26,21 +24,13 @@ object MultiEMSim {
       testIds: Seq[String],
       seed: Long = 7,
   ): Confusion = {
-    val simUdf = udf { (aText: String, bText: String) =>
+    val sim = (aText: String, bText: String) => {
       val (ia, va) = TextFeatures.hashed(TextFeatures.tokens(aText), Dim)
       val (ib, vb) = TextFeatures.hashed(TextFeatures.tokens(bText), Dim)
       TextFeatures.cosine(ia, va, ib, vb)
     }
-    val scored = BaselineUtil.textPairs(BaselineUtil.filterProblems(ds.pairs, testIds))
-      .withColumn("sim", simUdf(col("aText"), col("bText")))
-      .cache()
-    try {
-      val best = Grid.map { t =>
-        val conf = Metrics.confusion(
-          scored.withColumn("pred", (col("sim") >= t).cast("int")))
-        (t, conf)
-      }.maxBy(_._2.f1)
-      best._2
-    } finally scored.unpersist()
+    val scored = BaselineUtil.scoreText(ds.pairsOf(testIds), sim).cache()
+    try Grid.map(t => BaselineUtil.confusionAt(scored, t)).maxBy(_.f1)
+    finally scored.unpersist()
   }
 }

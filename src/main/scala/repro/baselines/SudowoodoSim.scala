@@ -4,7 +4,6 @@ import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import scala.util.Random
 import repro.erdata.ERDataset
-import repro.eval.Metrics
 import repro.eval.Metrics.Confusion
 import repro.ml.{MLP, TextFeatures}
 
@@ -62,25 +61,22 @@ object SudowoodoSim {
     // 3. Semi-supervised head: spend the labeling budget on solved-task
     //    pairs and fit the F1-optimal embedding-cosine threshold.
     val bEnc = spark.sparkContext.broadcast(encoder)
-    val simUdf = udf { (aText: String, bText: String) =>
+    val sim = (aText: String, bText: String) => {
       val ea = bEnc.value.embed(TextFeatures.denseHashed(TextFeatures.tokens(aText), Dim))
       val eb = bEnc.value.embed(TextFeatures.denseHashed(TextFeatures.tokens(bText), Dim))
       TextFeatures.denseCosine(ea, eb)
     }
 
-    val labeledSample = BaselineUtil.textPairs(BaselineUtil.filterProblems(ds.pairs, trainIds))
-      .withColumn("r", abs(hash(col("recA"), col("recB"), lit(seed))))
-      .orderBy("r").limit(budget)
-      .withColumn("sim", simUdf(col("aText"), col("bText")))
-      .select("sim", "label").collect()
+    val labeledSample = BaselineUtil.scoreText(
+        ds.pairsOf(trainIds)
+          .withColumn("r", abs(hash(col("recA"), col("recB"), lit(seed))))
+          .orderBy("r").limit(budget),
+        sim)
+      .select("score", "label").collect()
       .map(r => (r.getDouble(0), r.getInt(1)))
 
-    val threshold = bestThreshold(labeledSample)
-
-    val test = BaselineUtil.textPairs(BaselineUtil.filterProblems(ds.pairs, testIds))
-      .withColumn("sim", simUdf(col("aText"), col("bText")))
-      .withColumn("pred", (col("sim") >= threshold).cast("int"))
-    Metrics.confusion(test)
+    BaselineUtil.confusionAt(BaselineUtil.scoreText(ds.pairsOf(testIds), sim),
+      bestThreshold(labeledSample))
   }
 
   /** F1-optimal threshold over (sim, label) samples (0.05 grid over [-1,1]). */

@@ -43,7 +43,7 @@ object TransER {
       s
     }
 
-    val src0 = BaselineUtil.filterProblems(ds.pairs, trainIds)
+    val src0 = ds.pairsOf(trainIds)
       .select(col("features") as "srcFeatures", col("label") as "srcLabel")
     // Cap the per-bucket source population: non-match vectors concentrate
     // in the all-low bucket, and an uncapped bucket join degenerates into
@@ -58,7 +58,7 @@ object TransER {
       .filter(col("srn") <= 500)
       .drop("srn")
 
-    val tgt = BaselineUtil.filterProblems(ds.pairs, testIds)
+    val tgt = ds.pairsOf(testIds)
       .select("problemId", "recA", "recB", "features", "label")
       .withColumn("bucket", bucketUdf(col("features")))
 
@@ -74,10 +74,7 @@ object TransER {
         when(col("conf") >= tP, 1).when(col("conf") <= 1.0 - tP, 0).otherwise(lit(null)))
       .filter(col("pseudo").isNotNull)
 
-    val nPseudo = votes.count()
-    val sampled =
-      if (nPseudo <= TrainCap) votes
-      else votes.sample(withReplacement = false, TrainCap.toDouble / nPseudo, seed)
+    val sampled = ERDataset.sampleUpTo(votes, votes.count(), TrainCap, seed)
     val train = sampled.collect().toIndexedSeq.map { r =>
       LabeledVector(r.getAs[Seq[Double]]("features").toArray, r.getAs[Int]("pseudo"))
     }
@@ -90,8 +87,7 @@ object TransER {
           LabeledVector(Array.fill(ds.numFeatures)(0.0), 0)), numTrees = 1, maxDepth = 1, seed = seed)
       } else RandomForest.fit(train, numTrees = 10, maxDepth = 8, seed = seed)
 
-    val pred = ModelRepository.classify(spark,
-      BaselineUtil.filterProblems(ds.pairs, testIds), model)
+    val pred = ModelRepository.classify(spark, ds.pairsOf(testIds), model)
     Metrics.confusion(pred)
   }
 }

@@ -10,13 +10,15 @@ import repro.ml.PoolVector
 
 /** How each cluster model gets its training data (paper Table 3). */
 sealed trait ModelGen {
-  /** Draw a cluster's training vectors from its `pool`, and return them
-    * with the number of labels they cost. `budget`, `idf` and `seed` steer
-    * the AL selection; `idf` is evaluated only by a draw that reads it.
+  /** Draw a cluster's training vectors from its `pool` of `poolSize`
+    * vectors, and return them with the number of labels they cost.
+    * `budget`, `idf` and `seed` steer the AL selection; `idf` is evaluated
+    * only by a draw that reads it.
     */
   def draw(
       spark: SparkSession,
       pool: DataFrame,
+      poolSize: Long,
       budget: Int,
       idf: => Map[Long, Double],
       seed: Long,
@@ -29,7 +31,7 @@ object ModelGen {
     * default); every selected pair costs one label.
     */
   case object ActiveLearning extends ModelGen {
-    def draw(spark: SparkSession, pool: DataFrame, budget: Int, idf: => Map[Long, Double],
+    def draw(spark: SparkSession, pool: DataFrame, poolSize: Long, budget: Int, idf: => Map[Long, Double],
              seed: Long, cfg: MoRERConfig): (IndexedSeq[PoolVector], Int) = {
       val selected = cfg.al.select(spark, pool, budget, cfg.alConfig, idf, seed)
       (selected, selected.size)
@@ -38,17 +40,13 @@ object ModelGen {
 
   /** Every pool vector with its gold label, sampled down to `cap` (seeded
     * by `cfg.seed`) for tractability; no labels are charged against the
-    * budget.
+    * budget. One Spark job: the caller knows the pool size.
     */
   final case class Supervised(cap: Int = 20000) extends ModelGen {
-    def draw(spark: SparkSession, pool: DataFrame, budget: Int, idf: => Map[Long, Double],
-             seed: Long, cfg: MoRERConfig): (IndexedSeq[PoolVector], Int) = {
-      val n = pool.count()
-      val sampled =
-        if (n <= cap) pool
-        else pool.sample(withReplacement = false, cap.toDouble / n, cfg.seed)
-      (sampled.collect().toIndexedSeq.map(ActiveLearner.toPoolVector), 0)
-    }
+    def draw(spark: SparkSession, pool: DataFrame, poolSize: Long, budget: Int, idf: => Map[Long, Double],
+             seed: Long, cfg: MoRERConfig): (IndexedSeq[PoolVector], Int) =
+      (ERDataset.sampleUpTo(pool, poolSize, cap, cfg.seed).collect().toIndexedSeq
+        .map(ActiveLearner.toPoolVector), 0)
   }
 }
 
@@ -63,9 +61,7 @@ final case class MoRERConfig(
     al: ActiveLearner = BootstrapAL,
     bTot: Int = 1000,
     bMin: Int = 20,
-    alK: Int = 20,                       // committee size k (paper: 100)
-    alBatch: Int = 100,
-    alInit: Int = 50,
+    alConfig: ALConfig = ALConfig(),
     numBins: Int = DistributionAnalysis.DefaultBins,
     selection: String = "base",          // base | cov
     tCov: Double = 0.25,
@@ -73,9 +69,7 @@ final case class MoRERConfig(
     rfDepth: Int = 8,
     edgePolicy: ProblemGraph.EdgePolicy = ProblemGraph.AboveMean,
     seed: Long = 7,
-) {
-  def alConfig: ALConfig = ALConfig(kModels = alK, batchSize = alBatch, initSize = alInit)
-}
+)
 
 final case class MoRERResult(confusion: Confusion, repo: Repository) {
   /** pooled F1 over all unsolved problems. */
@@ -132,25 +126,25 @@ object MoRER {
     }
 
     val budgets = Budget.distribute(infos, cfg.bTot, cfg.bMin)
-    val clusterOfProblem = infos.flatMap(c => c.problemIds.map(_ -> c.id)).toMap
+    // Cluster model `id` serves the problems of infos(id).
+    val modelOf = infos.zipWithIndex.flatMap { case (info, id) => info.problemIds.map(_ -> id) }.toMap
 
     // Under AL the first draw computes the IDF scores before its
     // selection; their collect is the first pass over pairsI and fills its
     // cache. The supervised draw never reads them.
-    val pairsI = poolColumns(ds.pairs.filter(col("problemId").isin(ids: _*))).cache()
-    lazy val idf = ModelRepository.idfScores(spark, pairsI, clusterOfProblem)
+    val pairsI = poolColumns(ds.pairsOf(ids)).cache()
+    lazy val idf = ModelRepository.idfScores(spark, pairsI, modelOf)
 
-    // Cluster model `id` serves the problems of infos(id).
     val (models, labels) = infos.zipWithIndex.map { case (info, id) =>
       val pool = pairsI.filter(col("problemId").isin(info.problemIds: _*))
-      val (training, spent) = cfg.modelGen.draw(spark, pool, budgets(info.id), idf, cfg.seed + id, cfg)
+      val (training, spent) =
+        cfg.modelGen.draw(spark, pool, info.totalVectors, budgets(info.id), idf, cfg.seed + id, cfg)
       (ModelRepository.fit(id, training, ds.numFeatures, cfg), spent)
     }.unzip
     pairsI.unpersist()
 
-    val modelOf = infos.zipWithIndex.flatMap { case (info, id) => info.problemIds.map(_ -> id) }.toMap
     Repository(models.map(m => m.id -> m).toMap, graph, modelOf, allHists, vectorCounts,
-      ids.toSet, labels.sum, models.size)
+      ids.toSet, labels.sum)
   }
 
   /** sel_cov: integrate one new ER problem into the graph, re-cluster,
@@ -181,16 +175,16 @@ object MoRER {
 
     // Reuse the previous cluster with maximum overlap (majority of the
     // solved members' current model assignments); a cluster without solved
-    // members gets a new model.
+    // members gets a new model, with the next dense id.
     val prevId = solvedMembers.flatMap(repo.modelOf.get)
       .groupBy(identity).maxByOption { case (id, xs) => (xs.size, -id) }.map(_._1)
-    val modelId = prevId.getOrElse(repo.nextId)
+    val modelId = prevId.getOrElse(repo.numClusters)
 
     // Coverage ratio (Eq. 13): share of the cluster's vectors coming
     // from problems not yet used for training.
-    val uVecs = unsolvedMembers.map(p => repo.vectorCounts.getOrElse(p, 0L)).sum.toDouble
-    val aVecs = members.map(p => repo.vectorCounts.getOrElse(p, 0L)).sum.toDouble
-    val cov = if (aVecs > 0) uVecs / aVecs else 0.0
+    val uVecs = unsolvedMembers.map(p => repo.vectorCounts.getOrElse(p, 0L)).sum
+    val aVecs = members.map(p => repo.vectorCounts.getOrElse(p, 0L)).sum
+    val cov = if (aVecs > 0) uVecs.toDouble / aVecs else 0.0
 
     // The training kept from the previous model and the budget of the
     // fresh draw, when the cluster model is (re)trained.
@@ -211,22 +205,21 @@ object MoRER {
 
     val repo2 = toTrain match {
       case Some((kept, budget)) =>
-        val pool = poolColumns(ds.pairs.filter(col("problemId").isin(unsolvedMembers: _*)))
-        val (fresh, labels) = cfg.modelGen.draw(spark, pool, budget, Map.empty, cfg.seed + repo.nextId, cfg)
+        val pool = poolColumns(ds.pairsOf(unsolvedMembers))
+        val (fresh, labels) =
+          cfg.modelGen.draw(spark, pool, uVecs, budget, Map.empty, cfg.seed + repo.numClusters, cfg)
         val cm = ModelRepository.fit(modelId, kept ++ fresh, ds.numFeatures, cfg)
         repo.copy(
           clusters = repo.clusters + (modelId -> cm),
           graph = graph2,
           modelOf = repo.modelOf ++ members.map(_ -> modelId),
           solvedT = repo.solvedT ++ unsolvedMembers,
-          labelsSpent = repo.labelsSpent + labels,
-          nextId = math.max(repo.nextId, modelId + 1))
+          labelsSpent = repo.labelsSpent + labels)
       case None =>
         repo.copy(graph = graph2, modelOf = repo.modelOf + (pid -> modelId))
     }
 
-    val pred = ModelRepository.classify(spark, ds.pairs.filter(col("problemId") === pid),
-      repo2.clusters(modelId).model)
+    val pred = ModelRepository.classify(spark, ds.pairsOf(Seq(pid)), repo2.clusters(modelId).model)
     (Metrics.confusion(pred), repo2)
   }
 
@@ -273,7 +266,7 @@ object MoRER {
       }
     }.toMap
     val models = assignment.map { case (pid, cid) => pid -> repo.clusters(cid).model }
-    val pairsU = ds.pairs.filter(col("problemId").isin(unsolvedIds: _*))
+    val pairsU = ds.pairsOf(unsolvedIds)
     val pred   = ModelRepository.classifyWithAssignments(spark, pairsU, models)
     (Metrics.confusion(pred), assignment)
   }

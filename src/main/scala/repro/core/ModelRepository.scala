@@ -29,6 +29,9 @@ final case class ClusterModel(
   * @param solvedT       T — problems whose vectors have been used for
   *                      training-data selection
   * @param labelsSpent   labeling budget consumed so far
+  *
+  * Model ids are dense (0 until `numClusters`) and never removed, so a new
+  * cluster model takes id `numClusters`.
   */
 final case class Repository(
     clusters: Map[Int, ClusterModel],
@@ -38,7 +41,6 @@ final case class Repository(
     vectorCounts: Map[String, Long],
     solvedT: Set[String],
     labelsSpent: Int,
-    nextId: Int,
 ) {
   def numClusters: Int = clusters.size
 }
@@ -84,6 +86,8 @@ object ModelRepository {
       pairs: DataFrame,
       clusterOfProblem: Map[String, Int],
   ): Map[Long, Double] = {
+    // Only the number of distinct clusters per record counts, so any
+    // labelling of the clusters gives the same scores.
     val numClusters = clusterOfProblem.values.toSet.size
     if (numClusters == 0) return Map.empty
     val recordsOf = mutable.HashMap.empty[Int, mutable.LongMap[Unit]]

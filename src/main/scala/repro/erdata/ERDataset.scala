@@ -1,6 +1,7 @@
 package repro.erdata
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 
 /** How one similarity feature of a record pair is computed.
   *
@@ -33,7 +34,8 @@ final case class ERProblem(id: String, srcA: Int, srcB: Int, split: String)
   *                  (problemId, srcA, srcB, split, recA, recB, entA, entB,
   *                  features: array&lt;double&gt;, label)
   * @param specs     the feature definitions, in `features` array order
-  * @param problems  all ER problems present in `pairs`
+  * @param problems  every ER problem the generator configuration implies
+  *                  (a problem may have no candidate pairs in `pairs`)
   */
 final case class ERDataset(
     name: String,
@@ -44,4 +46,17 @@ final case class ERDataset(
 ) {
   def numFeatures: Int = specs.length
   def problemIds: Seq[String] = problems.map(_.id)
+
+  /** The candidate pairs of the problems `ids`. */
+  def pairsOf(ids: Seq[String]): DataFrame = pairs.filter(col("problemId").isin(ids: _*))
+}
+
+object ERDataset {
+
+  /** All of the `n` rows of `rows` when n ≤ cap, else a seeded Bernoulli
+    * sample of fraction cap/n (about `cap` rows). The caller supplies `n`,
+    * so a caller that already knows the size spends no job counting it.
+    */
+  def sampleUpTo(rows: DataFrame, n: Long, cap: Int, seed: Long): DataFrame =
+    if (n <= cap) rows else rows.sample(withReplacement = false, cap.toDouble / n, seed)
 }

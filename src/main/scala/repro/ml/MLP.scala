@@ -17,6 +17,10 @@ final case class MLPModel(
     w2: Array[Double],        // hidden (classifier) — unused by encoders
     b2: Double,
 ) extends Serializable {
+  /** The hidden layer's ReLU activations — the one forward pass that
+    * prediction, embedding and both trainers use. An activation is > 0
+    * exactly where the ReLU passes gradient.
+    */
   def hiddenOf(x: Array[Double]): Array[Double] = {
     val h = new Array[Double](w1.length)
     var j = 0
@@ -29,13 +33,15 @@ final case class MLPModel(
     h
   }
 
-  /** Sigmoid classifier output. */
-  def predictProb(x: Array[Double]): Double = {
-    val h = hiddenOf(x)
-    var z = b2; var j = 0
+  /** Sigmoid output over hidden activations `h`, with output bias `bias`. */
+  private[ml] def outputProb(h: Array[Double], bias: Double): Double = {
+    var z = bias; var j = 0
     while (j < h.length) { z += w2(j) * h(j); j += 1 }
     1.0 / (1.0 + math.exp(-z))
   }
+
+  /** Sigmoid classifier output. */
+  def predictProb(x: Array[Double]): Double = outputProb(hiddenOf(x), b2)
   def predict(x: Array[Double]): Int = if (predictProb(x) >= 0.5) 1 else 0
 
   /** L2-normalized hidden representation — the encoder embedding. */
@@ -77,25 +83,14 @@ object MLP {
       val step = lr / (1.0 + 0.3 * e)
       idx.foreach { k =>
         val x = xs(k); val y = ys(k)
-        // forward
-        val h = new Array[Double](hidden)
-        val pre = new Array[Double](hidden)
-        var j = 0
-        while (j < hidden) {
-          var z = m.b1(j); val row = m.w1(j); var t = 0
-          while (t < x.length) { z += row(t) * x(t); t += 1 }
-          pre(j) = z; h(j) = if (z > 0) z else 0.0
-          j += 1
-        }
-        var z2 = bias; j = 0
-        while (j < hidden) { z2 += m.w2(j) * h(j); j += 1 }
-        val p = 1.0 / (1.0 + math.exp(-z2))
+        val h = m.hiddenOf(x)
+        val p = m.outputProb(h, bias)
         val g2 = p - y
         // backward (weight arrays are mutated in place; the scalar output
         // bias is carried in the local accumulator and attached at the end)
-        j = 0
+        var j = 0
         while (j < hidden) {
-          val gh = if (pre(j) > 0) m.w2(j) * g2 else 0.0
+          val gh = if (h(j) > 0) m.w2(j) * g2 else 0.0
           m.w2(j) -= step * g2 * h(j)
           if (gh != 0.0) {
             val row = m.w1(j); var t = 0
@@ -126,21 +121,10 @@ object MLP {
   ): MLPModel = {
     val m = init(in, hidden, seed)
 
-    def forward(x: Array[Double]): (Array[Double], Array[Double]) = {
-      val h = new Array[Double](hidden); val pre = new Array[Double](hidden)
+    def backward(x: Array[Double], h: Array[Double], grad: Array[Double], step: Double): Unit = {
       var j = 0
       while (j < hidden) {
-        var z = m.b1(j); val row = m.w1(j); var t = 0
-        while (t < x.length) { z += row(t) * x(t); t += 1 }
-        pre(j) = z; h(j) = if (z > 0) z else 0.0
-        j += 1
-      }
-      (h, pre)
-    }
-    def backward(x: Array[Double], pre: Array[Double], grad: Array[Double], step: Double): Unit = {
-      var j = 0
-      while (j < hidden) {
-        if (pre(j) > 0 && grad(j) != 0.0) {
+        if (h(j) > 0 && grad(j) != 0.0) {
           val row = m.w1(j); var t = 0
           while (t < x.length) { row(t) -= step * grad(j) * x(t); t += 1 }
           m.b1(j) -= step * grad(j)
@@ -150,9 +134,9 @@ object MLP {
     }
 
     triplets.foreach { case (a, p, n) =>
-      val (ha, preA) = forward(a)
-      val (hp, preP) = forward(p)
-      val (hn, preN) = forward(n)
+      val ha = m.hiddenOf(a)
+      val hp = m.hiddenOf(p)
+      val hn = m.hiddenOf(n)
       var dPos = 0.0; var dNeg = 0.0
       var j = 0
       while (j < hidden) {
@@ -171,9 +155,9 @@ object MLP {
           gn(j) = 2 * (ha(j) - hn(j))
           j += 1
         }
-        backward(a, preA, ga, lr)
-        backward(p, preP, gp, lr)
-        backward(n, preN, gn, lr)
+        backward(a, ha, ga, lr)
+        backward(p, hp, gp, lr)
+        backward(n, hn, gn, lr)
       }
     }
     m

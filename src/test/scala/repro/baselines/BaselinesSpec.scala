@@ -15,7 +15,7 @@ class BaselinesSpec extends SparkSpec {
     val ids = new Random(3).shuffle(ds.problemIds.sorted.toVector)
     ids.splitAt(ids.size / 2)
   }
-  private lazy val totalUnsolved = BaselineUtil.filterProblems(ds.pairs, unsolved).count()
+  private lazy val totalUnsolved = ds.pairsOf(unsolved).count()
 
   test("textPairs serializes both sides with the label") {
     val tp = BaselineUtil.textPairs(ds.pairs).limit(5).collect()

@@ -2,7 +2,7 @@ package repro.core
 
 import scala.util.Random
 import repro.{SparkSpec, TestData}
-import repro.al.{AlmserAL, SelectionFingerprint}
+import repro.al.{ALConfig, AlmserAL, SelectionFingerprint, SparkJobs}
 
 /** End-to-end integration of the MoRER pipeline on the tiny corpora. */
 class MoRERPipelineSpec extends SparkSpec {
@@ -13,7 +13,7 @@ class MoRERPipelineSpec extends SparkSpec {
     ids.splitAt(ids.size / 2)
   }
   private def cfg(base: MoRERConfig = MoRERConfig()) = base.copy(
-    bTot = 200, bMin = 5, alK = 5, alBatch = 50, alInit = 20, rfTrees = 5)
+    bTot = 200, bMin = 5, alConfig = ALConfig(5, 50, 20), rfTrees = 5)
 
   private lazy val baseResult =
     MoRER.run(spark, ds, split._1, split._2, cfg())
@@ -86,7 +86,7 @@ class MoRERPipelineSpec extends SparkSpec {
     val none = MoRER.run(spark, ds, split._1, split._2,
       cfg(MoRERConfig(selection = "cov", tCov = 1.1)))
     assert(none.labelsSpent >= baseResult.labelsSpent)
-    // per brand-new cluster the budget is max(bMin, 2·alInit) = 40 here
+    // per brand-new cluster the budget is max(bMin, 2·initSize) = 40 here
     assert(none.labelsSpent <= baseResult.labelsSpent + 40 * split._2.size)
   }
 
@@ -125,6 +125,17 @@ class MoRERPipelineSpec extends SparkSpec {
     val sup = MoRER.run(spark, ds, split._1, split._2,
       cfg(MoRERConfig(modelGen = ModelGen.Supervised(cap = 2000), selection = "cov", tCov = 0.05)))
     assert(sup.labelsSpent == 0)
+  }
+
+  test("a Supervised draw runs one Spark job") {
+    // The caller passes the pool size, so the capped sample needs no count.
+    val pool = ds.pairsOf(split._1).select("problemId", "recA", "recB", "features", "label").cache()
+    val n = pool.count()
+    val sup = ModelGen.Supervised(cap = 100)
+    var drawn = IndexedSeq.empty[repro.ml.PoolVector]
+    assert(SparkJobs.count(spark) { drawn = sup.draw(spark, pool, n, 0, Map.empty, 1, cfg())._1 } == 1)
+    pool.unpersist()
+    assert(drawn.nonEmpty && drawn.size < n)
   }
 
   test("budget too small for the cluster count fails loudly") {
