@@ -27,16 +27,29 @@ object Table2Stats {
   }
 }
 
-/** Shared session builder for the job entrypoints. */
+/** Shared session builder for the job entrypoints.
+  *
+  * Shuffles write one partition per core (`defaultParallelism`) unless
+  * `SPARK_SHUFFLE_PARTITIONS` says otherwise: a MoRER pass aggregates a
+  * few thousand to a few hundred thousand small rows, so a fixed 64
+  * reduce tasks per pass cost more in task overhead than they save.
+  * The UI is off, so its status store keeps only the last 20 queries,
+  * jobs and stages instead of 1000 each, which the heap would otherwise
+  * hold for the life of the session.
+  */
 object JobSpark {
   def session(name: String): SparkSession = {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.ui.enabled", value = false)
+      .config("spark.sql.ui.retainedExecutions", 20)
+      .config("spark.ui.retainedJobs", 20)
+      .config("spark.ui.retainedStages", 20)
       .getOrCreate()
+    s.conf.set("spark.sql.shuffle.partitions",
+      sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", s.sparkContext.defaultParallelism.toString))
     s.sparkContext.setLogLevel("WARN")
     s
   }

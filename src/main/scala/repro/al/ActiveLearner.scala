@@ -55,16 +55,17 @@ object ActiveLearner {
     * job — and every later step runs in-process: a cluster pool is at
     * most a few hundred thousand 4-feature vectors, far cheaper to score
     * than a Spark job per iteration costs. A pool no larger than the
-    * budget is labeled whole. Otherwise the loop starts from `warmStart`
-    * and labels the `batchSize` best-scored unlabeled pairs per iteration
-    * (ties broken by recA, then recB) until the budget is spent or the
-    * pool runs dry.
+    * budget is labeled whole, ordered by recA, then recB, so the order a
+    * model is fitted in does not follow the pool's partitions. Otherwise
+    * the loop starts from `warmStart` and labels the `batchSize`
+    * best-scored unlabeled pairs per iteration (ties broken by recA, then
+    * recB) until the budget is spent or the pool runs dry.
     */
   def selectByScore(pool: DataFrame, budget: Int, cfg: ALConfig)(
       score: Scorer,
   ): IndexedSeq[PoolVector] = {
     val vectors = pool.collect().toIndexedSeq.map(toPoolVector)
-    if (vectors.size <= budget) return vectors
+    if (vectors.size <= budget) return vectors.sortBy(v => (v.recA, v.recB))
     val bad = vectors.find(v => v.recA < 0 || v.recB < 0 || v.recA > MaxRecId || v.recB > MaxRecId)
     require(bad.isEmpty, s"record ids of pair ${bad.map(v => (v.recA, v.recB)).orNull} " +
       "do not fit a pair key")

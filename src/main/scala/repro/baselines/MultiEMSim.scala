@@ -12,7 +12,8 @@ import repro.ml.TextFeatures
   * grid-searched and — as in the paper's own protocol — the best test
   * configuration reported. No training phase, so it is the fastest
   * method; a single global threshold over heterogeneous sources is also
-  * why it trails the supervised methods on Dexter/WDC.
+  * why it trails the supervised methods on Dexter/WDC. Nothing is drawn
+  * at random, so `seed` is unused.
   */
 object MultiEMSim {
   val Dim = 1 << 13

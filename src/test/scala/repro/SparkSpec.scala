@@ -27,12 +27,13 @@ object SparkSpec {
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in test output with the heap, the cores and the shuffle
+    // partitions; the layout-dependent learners' results depend on the last.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +
-      s"defaultParallelism=${s.sparkContext.defaultParallelism}"
+      s"defaultParallelism=${s.sparkContext.defaultParallelism} " +
+      s"shufflePartitions=${s.conf.get("spark.sql.shuffle.partitions")}"
     )
     s
   }

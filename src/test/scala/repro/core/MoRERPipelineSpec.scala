@@ -2,6 +2,7 @@ package repro.core
 
 import scala.util.Random
 import repro.{SparkSpec, TestData}
+import repro.erdata.MultiSourceGen
 import repro.al.{ALConfig, AlmserAL, SelectionFingerprint, SparkJobs}
 
 /** End-to-end integration of the MoRER pipeline on the tiny corpora. */
@@ -14,6 +15,9 @@ class MoRERPipelineSpec extends SparkSpec {
   }
   private def cfg(base: MoRERConfig = MoRERConfig()) = base.copy(
     bTot = 200, bMin = 5, alConfig = ALConfig(5, 50, 20), rfTrees = 5)
+
+  private def trainingFingerprints(res: MoRERResult) =
+    res.repo.clusters.map { case (id, cm) => id -> SelectionFingerprint.of(cm.training) }
 
   private lazy val baseResult =
     MoRER.run(spark, ds, split._1, split._2, cfg())
@@ -68,15 +72,37 @@ class MoRERPipelineSpec extends SparkSpec {
   test("sel_cov training fingerprint is unchanged") {
     // Taken before sel_cov's new-cluster and retrain branches shared one
     // training step: per cluster id, the size and ordered hash of its
-    // training vectors.
+    // training vectors. Cluster 6's pool is labeled whole; its hash was
+    // retaken when such a pool came to be returned in (recA, recB) order.
     val res = lowCovResult
     assert(res.labelsSpent == 361)
     assert(res.repo.numClusters == 7)
     assert(res.f1 == 0.9819494584837546)
-    assert(res.repo.clusters.map { case (id, cm) => id -> SelectionFingerprint.of(cm.training) } == Map(
+    assert(trainingFingerprints(res) == Map(
       0 -> ((87, -1067973905)), 1 -> ((70, -1472967160)), 2 -> ((42, 76305860)),
       3 -> ((60, 981350250)), 4 -> ((40, 48535496)), 5 -> ((40, -501262889)),
-      6 -> ((22, 1671184853))))
+      6 -> ((22, -139838456))))
+  }
+
+  test("AL results do not depend on the shuffle partition count") {
+    // The job session shuffles into one partition per core, the tests
+    // into 64: the camera corpus and each run are rebuilt at every layout.
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    val configs = Seq(cfg(), cfg(MoRERConfig(selection = "cov", tCov = 0.05)), cfg(MoRERConfig(al = AlmserAL)))
+    def outcomes(partitions: Int) = {
+      spark.conf.set(key, partitions.toLong)
+      val corpus = MultiSourceGen.generate(spark, TestData.tinyCameraConfig())
+      corpus.pairs.cache()
+      try configs.map { c =>
+        val r = MoRER.run(spark, corpus, split._1, split._2, c)
+        (r.f1, r.labelsSpent, r.repo.numClusters, trainingFingerprints(r))
+      } finally corpus.pairs.unpersist()
+    }
+    try {
+      val at64 = outcomes(64)
+      Seq(7, spark.sparkContext.defaultParallelism).foreach(n => assert(outcomes(n) == at64, s"at $n partitions"))
+    } finally spark.conf.set(key, saved)
   }
 
   test("sel_cov with an unreachable threshold only spends labels on brand-new clusters") {
