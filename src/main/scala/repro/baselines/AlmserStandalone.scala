@@ -4,7 +4,6 @@ import org.apache.spark.sql.SparkSession
 import repro.al.{ALConfig, AlmserAL}
 import repro.core.ModelRepository
 import repro.erdata.ERDataset
-import repro.eval.Metrics
 import repro.eval.Metrics.Confusion
 import repro.ml.{LabeledVector, RandomForest}
 
@@ -25,15 +24,11 @@ object AlmserStandalone {
       alCfg: ALConfig = ALConfig(),
       seed: Long = 7,
   ): Confusion = {
-    val pool = ds.pairsOf(trainIds)
-      .select("problemId", "recA", "recB", "features", "label")
-      .cache()
-    pool.count()
+    // AlmserAL.select collects its pool once, so the pool is not cached.
+    val pool = ds.pairsOf(trainIds).select("problemId", "recA", "recB", "features", "label")
     val selected = AlmserAL.select(spark, pool, budget, alCfg, Map.empty, seed)
-    pool.unpersist()
     val train = selected.map(v => LabeledVector(v.features, v.oracleLabel))
     val model = RandomForest.fit(train, numTrees = 10, maxDepth = 8, seed = seed)
-    val pred = ModelRepository.classify(spark, ds.pairsOf(testIds), model)
-    Metrics.confusion(pred)
+    ModelRepository.confusion(spark, ds.pairsOf(testIds), testIds.map(_ -> model).toMap)
   }
 }

@@ -5,7 +5,6 @@ import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.core.ModelRepository
 import repro.erdata.ERDataset
-import repro.eval.Metrics
 import repro.eval.Metrics.Confusion
 import repro.ml.{LabeledVector, RandomForest}
 
@@ -87,7 +86,6 @@ object TransER {
           LabeledVector(Array.fill(ds.numFeatures)(0.0), 0)), numTrees = 1, maxDepth = 1, seed = seed)
       } else RandomForest.fit(train, numTrees = 10, maxDepth = 8, seed = seed)
 
-    val pred = ModelRepository.classify(spark, ds.pairsOf(testIds), model)
-    Metrics.confusion(pred)
+    ModelRepository.confusion(spark, ds.pairsOf(testIds), testIds.map(_ -> model).toMap)
   }
 }

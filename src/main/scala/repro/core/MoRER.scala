@@ -4,7 +4,6 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.al.{ALConfig, ActiveLearner, BootstrapAL}
 import repro.erdata.ERDataset
-import repro.eval.Metrics
 import repro.eval.Metrics.Confusion
 import repro.ml.PoolVector
 
@@ -219,8 +218,7 @@ object MoRER {
         repo.copy(graph = graph2, modelOf = repo.modelOf + (pid -> modelId))
     }
 
-    val pred = ModelRepository.classify(spark, ds.pairsOf(Seq(pid)), repo2.clusters(modelId).model)
-    (Metrics.confusion(pred), repo2)
+    (ModelRepository.confusion(spark, ds.pairsOf(Seq(pid)), Map(pid -> repo2.clusters(modelId).model)), repo2)
   }
 
   /** Full run: init repository on `initIds`, solve every problem in
@@ -266,8 +264,6 @@ object MoRER {
       }
     }.toMap
     val models = assignment.map { case (pid, cid) => pid -> repo.clusters(cid).model }
-    val pairsU = ds.pairsOf(unsolvedIds)
-    val pred   = ModelRepository.classifyWithAssignments(spark, pairsU, models)
-    (Metrics.confusion(pred), assignment)
+    (ModelRepository.confusion(spark, ds.pairsOf(unsolvedIds), models), assignment)
   }
 }

@@ -1,8 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import scala.collection.mutable
+import repro.eval.Metrics.Confusion
 import repro.ml.{LabeledVector, PoolVector, RandomForest}
 
 /** One repository entry: the classifier of a cluster of similar ER
@@ -47,28 +47,31 @@ final case class Repository(
 
 object ModelRepository {
 
-  /** Classify `pairs` with a broadcast model — adds a `pred` column. */
-  def classify(spark: SparkSession, pairs: DataFrame, model: RandomForest): DataFrame = {
-    val b = spark.sparkContext.broadcast(model)
-    val predUdf = udf((f: Seq[Double]) => b.value.predict(f.toArray))
-    pairs.withColumn("pred", predUdf(col("features")))
-  }
-
-  /** Classify pairs of many problems in one distributed pass, each
-    * problem with its assigned model (problemId → model map broadcast
-    * into the UDF) — the "repository applied over partitioned record
-    * pairs" path used by sel_base.
+  /** Confusion counts of `pairs`, each pair predicted by its problem's
+    * model in `models`; a problem without a model predicts non-match. This
+    * is the repository applied over partitioned record pairs (sel_base,
+    * sel_cov and the one-model baselines): one shuffle-free Spark job
+    * scores every partition with the broadcast models and counts it, and
+    * the driver adds the partition counts.
     */
-  def classifyWithAssignments(
-      spark: SparkSession,
-      pairs: DataFrame,
-      assignment: Map[String, RandomForest],
-  ): DataFrame = {
-    val b = spark.sparkContext.broadcast(assignment)
-    val predUdf = udf { (pid: String, f: Seq[Double]) =>
-      b.value.get(pid).map(_.predict(f.toArray)).getOrElse(0)
-    }
-    pairs.withColumn("pred", predUdf(col("problemId"), col("features")))
+  def confusion(spark: SparkSession, pairs: DataFrame, models: Map[String, RandomForest]): Confusion = {
+    val b = spark.sparkContext.broadcast(models)
+    try {
+      pairs.select("problemId", "features", "label").rdd.mapPartitions { rows =>
+        val byProblem = b.value
+        var tp, fp, fn, tn = 0L
+        rows.foreach { r =>
+          val pred = byProblem.get(r.getString(0)).fold(0)(_.predict(r.getSeq[Double](1).toArray))
+          (r.getInt(2), pred) match {
+            case (1, 1) => tp += 1
+            case (0, 1) => fp += 1
+            case (1, _) => fn += 1
+            case _      => tn += 1
+          }
+        }
+        Iterator.single(Confusion(tp, fp, fn, tn))
+      }.fold(Confusion.empty)(_ + _)
+    } finally b.destroy()
   }
 
   /** IDF-style record-uniqueness scores s_r (Eqs. 11–12): for every

@@ -7,7 +7,8 @@ import scala.util.Random
   * are the standard choice in the Almser/MoRER line of work).
   *
   * The fitted forest is a plain serializable case class so it can be
-  * broadcast and applied as a UDF over DataFrames of record pairs.
+  * broadcast to the Spark tasks that score record pairs
+  * (`ModelRepository.confusion`).
   */
 final case class RandomForest(trees: IndexedSeq[TreeNode]) extends Serializable {
   /** Mean positive-class probability across trees. */

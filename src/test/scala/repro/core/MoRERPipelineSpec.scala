@@ -164,6 +164,23 @@ class MoRERPipelineSpec extends SparkSpec {
     assert(drawn.nonEmpty && drawn.size < n)
   }
 
+  test("a sel_base search runs one Spark job") {
+    val repo = baseResult.repo
+    assert(SparkJobs.count(spark) { MoRER.solveBaseAllWithTest(spark, ds, repo, split._2, KS) } == 1)
+  }
+
+  test("a sel_cov insertion that reuses its model runs one Spark job") {
+    // t_cov above 1 never retrains, and in a repository built on every
+    // other problem the new one joins a cluster with a model.
+    val c = cfg(MoRERConfig(selection = "cov", tCov = 1.1))
+    val pid = split._2.head
+    val repo = MoRER.run(spark, ds, ds.problemIds.filterNot(_ == pid), Nil, c).repo
+    var after = repo
+    val jobs = SparkJobs.count(spark) { after = MoRER.solveCov(spark, ds, repo, pid, c)._2 }
+    assert(after.numClusters == repo.numClusters && after.labelsSpent == repo.labelsSpent)
+    assert(jobs == 1)
+  }
+
   test("budget too small for the cluster count fails loudly") {
     assertThrows[IllegalArgumentException] {
       MoRER.run(spark, ds, split._1, split._2, MoRERConfig(bTot = 2, bMin = 5))

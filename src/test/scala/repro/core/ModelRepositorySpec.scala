@@ -10,40 +10,64 @@ class ModelRepositorySpec extends SparkSpec {
   private def pool() = TestData.camera.pairs
     .select("problemId", "recA", "recB", "features", "label")
 
-  test("classify adds a 0/1 pred column for every row") {
+  private def always(p: Int) = RandomForest(IndexedSeq(repro.ml.Leaf(p.toDouble)))
+  private def forEveryProblem(m: RandomForest) = TestData.camera.problemIds.map(_ -> m).toMap
+
+  test("confusion counts every pair once") {
     val train = pool().limit(200).collect().toIndexedSeq
       .map(r => LabeledVector(r.getSeq[Double](3).toArray, r.getInt(4)))
     val m = RandomForest.fit(train, seed = 1)
-    val out = ModelRepository.classify(spark, TestData.camera.pairs, m)
-    assert(out.count() == TestData.camera.pairs.count())
-    assert(out.filter(col("pred") =!= 0 && col("pred") =!= 1).count() == 0)
+    val conf = ModelRepository.confusion(spark, TestData.camera.pairs, forEveryProblem(m))
+    assert(conf.total == TestData.camera.pairs.count())
   }
 
   test("a model trained on gold labels achieves high F1 on the tiny corpus") {
     val train = pool().sample(0.3, seed = 1).collect().toIndexedSeq
       .map(r => LabeledVector(r.getSeq[Double](3).toArray, r.getInt(4)))
     val m = RandomForest.fit(train, seed = 2)
-    val conf = repro.eval.Metrics.confusion(ModelRepository.classify(spark, TestData.camera.pairs, m))
+    val conf = ModelRepository.confusion(spark, TestData.camera.pairs, forEveryProblem(m))
     assert(conf.f1 > 0.9, s"F1 ${conf.f1}")
   }
 
-  test("classifyWithAssignments routes each problem to its own model") {
+  test("confusion routes each problem to its own model") {
     val ds = TestData.camera
-    val always1 = RandomForest(IndexedSeq(repro.ml.Leaf(1.0)))
-    val always0 = RandomForest(IndexedSeq(repro.ml.Leaf(0.0)))
     val pids = ds.problemIds.take(2)
-    val out = ModelRepository.classifyWithAssignments(spark,
-      ds.pairs.filter(col("problemId").isin(pids: _*)),
-      Map(pids.head -> always1, pids(1) -> always0))
-    val per = out.groupBy("problemId").agg(avg("pred") as "m").collect()
-      .map(r => r.getString(0) -> r.getDouble(1)).toMap
-    assert(per(pids.head) == 1.0 && per(pids(1)) == 0.0)
+    def of(pid: String) = ds.pairsOf(Seq(pid))
+    val labels = pids.map(p => p -> of(p).filter(col("label") === 1).count()).toMap
+    val sizes = pids.map(p => p -> of(p).count()).toMap
+    val conf = ModelRepository.confusion(spark, ds.pairsOf(pids), Map(pids.head -> always(1), pids(1) -> always(0)))
+    // pids.head predicts match on every pair, pids(1) non-match on every pair
+    assert(conf.tp == labels(pids.head) && conf.fp == sizes(pids.head) - labels(pids.head))
+    assert(conf.fn == labels(pids(1)) && conf.tn == sizes(pids(1)) - labels(pids(1)))
   }
 
-  test("classifyWithAssignments defaults unassigned problems to non-match") {
+  test("confusion defaults problems without a model to non-match") {
+    val conf = ModelRepository.confusion(spark, TestData.camera.pairs, Map.empty)
+    assert(conf.tp == 0 && conf.fp == 0 && conf.total == TestData.camera.pairs.count())
+  }
+
+  test("confusion equals the pred-column UDF and SQL aggregate it replaced") {
     val ds = TestData.camera
-    val out = ModelRepository.classifyWithAssignments(spark, ds.pairs, Map.empty)
-    assert(out.filter(col("pred") =!= 0).count() == 0)
+    val train = pool().sample(0.2, seed = 4).collect().toIndexedSeq
+      .map(r => LabeledVector(r.getSeq[Double](3).toArray, r.getInt(4)))
+    val pids = ds.problemIds.sorted
+    val perProblem = pids.zipWithIndex.map { case (p, i) => p -> RandomForest.fit(train, numTrees = 3, seed = i) }
+    val someMissing = perProblem.zipWithIndex.collect { case (pm, i) if i % 3 != 0 => pm }
+    def reference(models: Map[String, RandomForest]) = {
+      val b = spark.sparkContext.broadcast(models)
+      val pred = udf((pid: String, f: Seq[Double]) => b.value.get(pid).map(_.predict(f.toArray)).getOrElse(0))
+      repro.eval.Metrics.confusion(ds.pairs.withColumn("pred", pred(col("problemId"), col("features"))))
+    }
+    Seq("one model" -> forEveryProblem(RandomForest.fit(train, seed = 1)),
+        "one model per problem" -> perProblem.toMap, "problems without a model" -> someMissing.toMap)
+      .foreach { case (name, models) =>
+        assert(ModelRepository.confusion(spark, ds.pairs, models) == reference(models), name)
+      }
+  }
+
+  test("confusion of no pairs is empty") {
+    assert(ModelRepository.confusion(spark, TestData.camera.pairs.limit(0), forEveryProblem(always(1))) ==
+      repro.eval.Metrics.Confusion.empty)
   }
 
   test("idfScores: a record in fewer clusters scores higher") {
