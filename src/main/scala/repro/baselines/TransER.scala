@@ -86,6 +86,6 @@ object TransER {
           LabeledVector(Array.fill(ds.numFeatures)(0.0), 0)), numTrees = 1, maxDepth = 1, seed = seed)
       } else RandomForest.fit(train, numTrees = 10, maxDepth = 8, seed = seed)
 
-    ModelRepository.confusion(spark, ds.pairsOf(testIds), testIds.map(_ -> model).toMap)
+    ModelRepository.confusion(spark, ds, testIds, testIds.map(_ -> model).toMap)
   }
 }

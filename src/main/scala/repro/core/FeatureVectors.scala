@@ -14,16 +14,15 @@ import repro.erdata.{FeatureSpec, JaccardTokens, LevenshteinSim, NumericSim}
   */
 object FeatureVectors {
 
-  private def tokens(c: Column): Column =
+  /** The lower-cased alphanumeric tokens of a string column. */
+  def tokens(c: Column): Column =
     filter(split(lower(trim(c)), "[^a-z0-9]+"), t => t =!= "")
 
-  /** Token-set Jaccard similarity of two string columns. */
-  def jaccard(a: Column, b: Column): Column = {
-    val ta = tokens(a); val tb = tokens(b)
+  /** Token-set Jaccard similarity of two token-array columns (`tokens`). */
+  def jaccard(ta: Column, tb: Column): Column =
     when(size(ta) === 0 || size(tb) === 0, 0.0)
       .otherwise(size(array_intersect(ta, tb)).cast("double") /
                  size(array_union(ta, tb)).cast("double"))
-  }
 
   /** Normalized Levenshtein similarity: 1 - lev/maxLen; 0 if either empty. */
   def levSim(a: Column, b: Column): Column = {
@@ -39,13 +38,23 @@ object FeatureVectors {
     when(a.isNull || b.isNull || a <= 0 || b <= 0, 0.0)
       .otherwise(greatest(lit(0.0), lit(1.0) - abs(a - b) / greatest(a, b)))
 
+  private def tokenCol(side: String, c: String): String = s"${side}_${c}_tokens"
+
   private def featureExpr(spec: FeatureSpec): Column = spec match {
-    case JaccardTokens(c, _)  => jaccard(col(s"a_$c"), col(s"b_$c"))
+    case JaccardTokens(c, _)  => jaccard(col(tokenCol("a", c)), col(tokenCol("b", c)))
     case LevenshteinSim(c, _) => levSim(col(s"a_$c"), col(s"b_$c"))
     case NumericSim(c, _)     => numSim(col(s"a_$c"), col(s"b_$c"))
   }
 
-  /** Adds a `features: array<double>` column per the spec list order. */
-  def withFeatures(pairs: DataFrame, specs: Seq[FeatureSpec]): DataFrame =
-    pairs.withColumn("features", array(specs.map(featureExpr): _*))
+  /** Adds a `features: array<double>` column per the spec list order. Each
+    * Jaccard attribute is tokenized once per side, in a projection of its
+    * own, rather than once per use in the Jaccard expression.
+    */
+  def withFeatures(pairs: DataFrame, specs: Seq[FeatureSpec]): DataFrame = {
+    val tokenized = for (JaccardTokens(c, _) <- specs; side <- Seq("a", "b"))
+      yield tokenCol(side, c) -> tokens(col(s"${side}_$c"))
+    pairs.withColumns(tokenized.toMap)
+      .withColumn("features", array(specs.map(featureExpr): _*))
+      .drop(tokenized.map(_._1): _*)
+  }
 }

@@ -218,7 +218,7 @@ object MoRER {
         repo.copy(graph = graph2, modelOf = repo.modelOf + (pid -> modelId))
     }
 
-    (ModelRepository.confusion(spark, ds.pairsOf(Seq(pid)), Map(pid -> repo2.clusters(modelId).model)), repo2)
+    (ModelRepository.confusion(spark, ds, Seq(pid), Map(pid -> repo2.clusters(modelId).model)), repo2)
   }
 
   /** Full run: init repository on `initIds`, solve every problem in
@@ -264,6 +264,6 @@ object MoRER {
       }
     }.toMap
     val models = assignment.map { case (pid, cid) => pid -> repo.clusters(cid).model }
-    (ModelRepository.confusion(spark, ds.pairsOf(unsolvedIds), models), assignment)
+    (ModelRepository.confusion(spark, ds, unsolvedIds, models), assignment)
   }
 }

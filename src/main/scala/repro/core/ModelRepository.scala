@@ -1,7 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.unsafe.types.UTF8String
 import scala.collection.mutable
+import repro.erdata.ERDataset
 import repro.eval.Metrics.Confusion
 import repro.ml.{LabeledVector, PoolVector, RandomForest}
 
@@ -47,26 +49,32 @@ final case class Repository(
 
 object ModelRepository {
 
-  /** Confusion counts of `pairs`, each pair predicted by its problem's
-    * model in `models`; a problem without a model predicts non-match. This
-    * is the repository applied over partitioned record pairs (sel_base,
-    * sel_cov and the one-model baselines): one shuffle-free Spark job
-    * scores every partition with the broadcast models and counts it, and
-    * the driver adds the partition counts.
+  /** Confusion counts of the pairs of the problems `ids` in `ds`, each pair
+    * predicted by its problem's model in `models`; a problem without a model
+    * predicts non-match. This is the repository applied over partitioned
+    * record pairs (sel_base, sel_cov and the one-model baselines): one
+    * shuffle-free Spark job over the dataset's planned-once scan
+    * (`ERDataset.scoringRows`) skips the rows of other problems, decodes
+    * the features of the rows it keeps, scores them with the broadcast
+    * models and counts each partition, and the driver adds the counts.
     */
-  def confusion(spark: SparkSession, pairs: DataFrame, models: Map[String, RandomForest]): Confusion = {
-    val b = spark.sparkContext.broadcast(models)
+  def confusion(spark: SparkSession, ds: ERDataset, ids: Seq[String], models: Map[String, RandomForest]): Confusion = {
+    // Keyed by the rows' own encoding, so a row is routed without decoding
+    // its problem id; None marks a wanted problem without a model.
+    val b = spark.sparkContext.broadcast(ids.map(id => UTF8String.fromString(id) -> models.get(id)).toMap)
     try {
-      pairs.select("problemId", "features", "label").rdd.mapPartitions { rows =>
-        val byProblem = b.value
+      ds.scoringRows.mapPartitions { rows =>
+        val route = b.value
         var tp, fp, fn, tn = 0L
         rows.foreach { r =>
-          val pred = byProblem.get(r.getString(0)).fold(0)(_.predict(r.getSeq[Double](1).toArray))
-          (r.getInt(2), pred) match {
-            case (1, 1) => tp += 1
-            case (0, 1) => fp += 1
-            case (1, _) => fn += 1
-            case _      => tn += 1
+          route.get(r.getUTF8String(0)).foreach { model =>
+            val pred = model.fold(0)(_.predict(r.getArray(1).toDoubleArray()))
+            (r.getInt(2), pred) match {
+              case (1, 1) => tp += 1
+              case (0, 1) => fp += 1
+              case (1, _) => fn += 1
+              case _      => tn += 1
+            }
           }
         }
         Iterator.single(Confusion(tp, fp, fn, tn))

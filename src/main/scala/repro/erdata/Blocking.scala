@@ -12,6 +12,12 @@ object Blocking {
 
   /** Blocked candidate pairs with ground-truth labels.
     *
+    * The join emits each ordered pair of a problem once (record ids are
+    * unique), so nothing is deduplicated. The pairs are hash-partitioned
+    * and sorted on (problemId, recA, recB), so the learners whose
+    * selections depend on row order see one layout per shuffle partition
+    * count.
+    *
     * Output columns: problemId, srcA, srcB, split, recA, recB, entA, entB,
     * label, and raw attributes of both sides (a_a1..a_num2, b_a1..b_num2)
     * for feature computation and for the text-serialization baselines.
@@ -50,6 +56,7 @@ object Blocking {
       col("a.num1") as "a_num1", col("a.num2") as "a_num2",
       col("b.a1") as "b_a1", col("b.a2") as "b_a2", col("b.a3") as "b_a3",
       col("b.num1") as "b_num1", col("b.num2") as "b_num2",
-    ).dropDuplicates("problemId", "recA", "recB")
+    ).repartition(col("problemId"), col("recA"), col("recB"))
+      .sortWithinPartitions("problemId", "recA", "recB")
   }
 }

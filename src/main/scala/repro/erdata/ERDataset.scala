@@ -1,6 +1,8 @@
 package repro.erdata
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions.col
 
 /** How one similarity feature of a record pair is computed.
@@ -36,6 +38,10 @@ final case class ERProblem(id: String, srcA: Int, srcB: Int, split: String)
   * @param specs     the feature definitions, in `features` array order
   * @param problems  every ER problem the generator configuration implies
   *                  (a problem may have no candidate pairs in `pairs`)
+  *
+  * A caller caches `pairs` before the first scoring call
+  * (`ModelRepository.confusion`): `scoringRows` is planned once, then, and
+  * scans whatever `pairs` resolved to at that moment.
   */
 final case class ERDataset(
     name: String,
@@ -49,6 +55,13 @@ final case class ERDataset(
 
   /** The candidate pairs of the problems `ids`. */
   def pairsOf(ids: Seq[String]): DataFrame = pairs.filter(col("problemId").isin(ids: _*))
+
+  /** (problemId, features, label) of every pair, as the rows of one scan of
+    * `pairs`, planned on first use. Scoring runs jobs over it without
+    * planning a query per call.
+    */
+  @transient lazy val scoringRows: RDD[InternalRow] =
+    pairs.select("problemId", "features", "label").queryExecution.toRdd
 }
 
 object ERDataset {

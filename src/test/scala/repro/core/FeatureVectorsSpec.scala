@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestData}
 import repro.erdata._
@@ -7,36 +8,39 @@ import repro.erdata._
 class FeatureVectorsSpec extends SparkSpec {
   import spark.implicits._
 
+  private def jaccard(a: Column, b: Column) =
+    FeatureVectors.jaccard(FeatureVectors.tokens(a), FeatureVectors.tokens(b))
+
   private def pairDf(rows: Seq[(String, String, String, String, Double, Double)]) =
     rows.toDF("a_a1", "b_a1", "a_a2", "b_a2", "a_num1", "b_num1")
 
   test("jaccard of identical token sets is 1") {
     val df = pairDf(Seq(("canon eos 5d", "canon eos 5d", "", "", 0, 0)))
-      .select(FeatureVectors.jaccard($"a_a1", $"b_a1") as "j")
+      .select(jaccard($"a_a1", $"b_a1") as "j")
     assert(df.collect()(0).getDouble(0) == 1.0)
   }
 
   test("jaccard of disjoint token sets is 0") {
     val df = pairDf(Seq(("canon eos", "nikon d750", "", "", 0, 0)))
-      .select(FeatureVectors.jaccard($"a_a1", $"b_a1") as "j")
+      .select(jaccard($"a_a1", $"b_a1") as "j")
     assert(df.collect()(0).getDouble(0) == 0.0)
   }
 
   test("jaccard of half-overlapping sets is |∩|/|∪|") {
     val df = pairDf(Seq(("a b c", "b c d", "", "", 0, 0)))
-      .select(FeatureVectors.jaccard($"a_a1", $"b_a1") as "j")
+      .select(jaccard($"a_a1", $"b_a1") as "j")
     assert(math.abs(df.collect()(0).getDouble(0) - 0.5) < 1e-12)
   }
 
   test("jaccard treats empty/whitespace strings as no evidence (0)") {
     val df = pairDf(Seq(("", "canon", "", "", 0, 0), ("   ", "canon", "", "", 0, 0)))
-      .select(FeatureVectors.jaccard($"a_a1", $"b_a1") as "j")
+      .select(jaccard($"a_a1", $"b_a1") as "j")
     assert(df.collect().forall(_.getDouble(0) == 0.0))
   }
 
   test("jaccard tokenization splits on punctuation and case-folds") {
     val df = pairDf(Seq(("Canon-EOS", "canon eos", "", "", 0, 0)))
-      .select(FeatureVectors.jaccard($"a_a1", $"b_a1") as "j")
+      .select(jaccard($"a_a1", $"b_a1") as "j")
     assert(df.collect()(0).getDouble(0) == 1.0)
   }
 

@@ -169,6 +169,13 @@ class MoRERPipelineSpec extends SparkSpec {
     assert(SparkJobs.count(spark) { MoRER.solveBaseAllWithTest(spark, ds, repo, split._2, KS) } == 1)
   }
 
+  test("a repeated sel_base search starts no SQL query") {
+    // The first search plans the dataset's scoring scan; later ones reuse it.
+    val repo = baseResult.repo
+    MoRER.solveBaseAllWithTest(spark, ds, repo, split._2, KS)
+    assert(SparkJobs.queries(spark) { MoRER.solveBaseAllWithTest(spark, ds, repo, split._2, KS) } == 0)
+  }
+
   test("a sel_cov insertion that reuses its model runs one Spark job") {
     // t_cov above 1 never retrains, and in a repository built on every
     // other problem the new one joins a cluster with a model.

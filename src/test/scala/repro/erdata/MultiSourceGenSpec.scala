@@ -126,9 +126,10 @@ class MultiSourceGenSpec extends SparkSpec {
   }
 
   test("no duplicate pairs per problem") {
-    val ds = TestData.camera
-    val dup = ds.pairs.groupBy("problemId", "recA", "recB").count().filter(col("count") > 1).count()
-    assert(dup == 0)
+    Seq(TestData.camera, TestData.music).foreach { ds =>
+      val dup = ds.pairs.groupBy("problemId", "recA", "recB").count().filter(col("count") > 1).count()
+      assert(dup == 0, ds.name)
+    }
   }
 
   test("heterogeneous profiles produce different per-problem match-feature means") {
