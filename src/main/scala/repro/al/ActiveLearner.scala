@@ -2,8 +2,10 @@ package repro.al
 
 import java.util.stream.IntStream
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.hash.Murmur3_x86_32
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 import repro.ml.PoolVector
 
 /** Shared AL contract and pool plumbing.
@@ -52,9 +54,10 @@ object ActiveLearner {
 
   /** The AL selection loop every learner shares; a learner supplies only
     * its `Scorer`. The pool is collected to the driver once — one Spark
-    * job — and every later step runs in-process: a cluster pool is at
-    * most a few hundred thousand 4-feature vectors, far cheaper to score
-    * than a Spark job per iteration costs. A pool no larger than the
+    * job, or none for a `poolFrame` — and every later step runs
+    * in-process: a cluster pool is at most a few hundred thousand
+    * 4-feature vectors, far cheaper to score than a Spark job per
+    * iteration costs. A pool no larger than the
     * budget is labeled whole, ordered by recA, then recB, so the order a
     * model is fitted in does not follow the pool's partitions. Otherwise
     * the loop starts from `warmStart` and labels the `batchSize`
@@ -102,6 +105,21 @@ object ActiveLearner {
     */
   private val MaxRecId = 0xFFFFFFFFL
   private def pairKey(recA: Long, recB: Long): Long = (recA << 32) | recB
+
+  /** The pool columns, typed as in the pair table. */
+  private val poolSchema: StructType = StructType(Seq(
+    StructField("problemId", StringType),
+    StructField("recA", LongType),
+    StructField("recB", LongType),
+    StructField("features", ArrayType(DoubleType)),
+    StructField("label", IntegerType)))
+
+  /** A pool the driver already holds, as a local DataFrame: its collect
+    * runs no Spark job.
+    */
+  def poolFrame(spark: SparkSession, vectors: Seq[PoolVector]): DataFrame =
+    spark.createDataFrame(
+      vectors.map(v => Row(v.problemId, v.recA, v.recB, v.features.toSeq, v.oracleLabel)).asJava, poolSchema)
 
   def toPoolVector(r: Row): PoolVector = PoolVector(
     r.getAs[String]("problemId"),

@@ -1,7 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.unsafe.types.UTF8String
+import scala.collection.mutable
 
 /** Empirical distribution of one similarity feature of one ER problem,
   * as a fixed-width histogram over [0,1] plus exact moments.
@@ -14,8 +15,10 @@ final case class FeatureHistogram(
     mean: Double,
     std: Double,
 ) {
-  /** Empirical CDF evaluated at the right edge of every bin. */
-  def cdf: Array[Double] = {
+  /** Empirical CDF evaluated at the right edge of every bin, computed once:
+    * KS and WD read it on every comparison.
+    */
+  lazy val cdf: Array[Double] = {
     val out = new Array[Double](bins.length)
     var acc = 0.0
     var i = 0
@@ -80,7 +83,7 @@ object DistTest {
 
 /** Distributed similarity-distribution analysis (paper §4.2).
   *
-  * One aggregation pass over the pair DataFrame computes, per
+  * One shuffle-free pass over the pair DataFrame computes, per
   * (problem, feature), a `numBins`-bin histogram plus Σx and Σx² — i.e.
   * everything KS/WD/PSI and the std-dev feature weights need. The
   * resulting per-problem summaries are tiny (problems × features × bins)
@@ -89,34 +92,65 @@ object DistTest {
 object DistributionAnalysis {
   val DefaultBins = 100
 
-  /** Histograms of every (problemId, feature) in `pairs`. */
+  /** Bin counts, Σx and Σx² of one problem's features, bin counts laid
+    * out feature-major.
+    */
+  private final class Moments(numFeatures: Int, numBins: Int) extends Serializable {
+    val bins = new Array[Long](numFeatures * numBins)
+    val s1 = new Array[Double](numFeatures)
+    val s2 = new Array[Double](numFeatures)
+
+    def +=(o: Moments): this.type = {
+      var i = 0
+      while (i < bins.length) { bins(i) += o.bins(i); i += 1 }
+      i = 0
+      while (i < s1.length) { s1(i) += o.s1(i); s2(i) += o.s2(i); i += 1 }
+      this
+    }
+  }
+
+  /** Histograms of every (problemId, feature) in `pairs`: one Spark job
+    * over the rows of one scan, in which each partition sums its pairs per
+    * problem; the driver adds the partitions' sums in partition order.
+    */
   def histograms(
       pairs: DataFrame,
       numFeatures: Int,
       numBins: Int = DefaultBins,
   ): Map[String, IndexedSeq[FeatureHistogram]] = {
-    val agg = pairs
-      .select(col("problemId"), posexplode(col("features")).as(Seq("feature", "v")))
-      .withColumn("bin", least(floor(col("v") * numBins).cast("int"), lit(numBins - 1)))
-      .groupBy("problemId", "feature", "bin")
-      .agg(count(lit(1)) as "n", sum("v") as "s1", sum(col("v") * col("v")) as "s2")
-      .collect()
-
-    agg.groupBy(_.getString(0)).map { case (pid, rows) =>
-      val byFeature = rows.groupBy(_.getInt(1))
-      val hists = (0 until numFeatures).map { f =>
-        val bins = new Array[Long](numBins)
-        var n = 0L; var s1 = 0.0; var s2 = 0.0
-        byFeature.getOrElse(f, Array.empty).foreach { r =>
-          bins(r.getInt(2)) = r.getLong(3)
-          n += r.getLong(3); s1 += r.getDouble(4); s2 += r.getDouble(5)
+    val parts = pairs.select("problemId", "features").queryExecution.toRdd.mapPartitions { rows =>
+      val byProblem = mutable.HashMap.empty[UTF8String, Moments]
+      rows.foreach { r =>
+        val m = byProblem.getOrElseUpdate(r.getUTF8String(0).clone(), new Moments(numFeatures, numBins))
+        val xs = r.getArray(1)
+        val n = math.min(xs.numElements(), numFeatures)
+        var f = 0
+        while (f < n) {
+          val x = xs.getDouble(f)
+          m.bins(f * numBins + math.min(math.floor(x * numBins).toInt, numBins - 1)) += 1
+          m.s1(f) += x; m.s2(f) += x * x
+          f += 1
         }
-        val mean = if (n > 0) s1 / n else 0.0
-        val varr = if (n > 0) math.max(0.0, s2 / n - mean * mean) else 0.0
+      }
+      Iterator.single(byProblem.map { case (pid, m) => pid.toString -> m }.toMap)
+    }.collect()
+
+    val total = mutable.HashMap.empty[String, Moments]
+    parts.foreach(_.foreach { case (pid, m) =>
+      total.get(pid) match {
+        case Some(acc) => acc += m
+        case None      => total(pid) = m
+      }
+    })
+    total.map { case (pid, m) =>
+      pid -> (0 until numFeatures).map { f =>
+        val bins = m.bins.slice(f * numBins, (f + 1) * numBins)
+        val n = bins.sum
+        val mean = if (n > 0) m.s1(f) / n else 0.0
+        val varr = if (n > 0) math.max(0.0, m.s2(f) / n - mean * mean) else 0.0
         FeatureHistogram(pid, f, bins, n, mean, math.sqrt(varr))
       }
-      pid -> hists
-    }
+    }.toMap
   }
 
   /** Per-problem pair counts |p_{k,l}|: each of a problem's feature

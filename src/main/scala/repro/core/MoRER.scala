@@ -1,7 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
+import org.apache.spark.unsafe.hash.Murmur3_x86_32
 import repro.al.{ALConfig, ActiveLearner, BootstrapAL}
 import repro.erdata.ERDataset
 import repro.eval.Metrics.Confusion
@@ -9,15 +9,13 @@ import repro.ml.PoolVector
 
 /** How each cluster model gets its training data (paper Table 3). */
 sealed trait ModelGen {
-  /** Draw a cluster's training vectors from its `pool` of `poolSize`
-    * vectors, and return them with the number of labels they cost.
-    * `budget`, `idf` and `seed` steer the AL selection; `idf` is evaluated
-    * only by a draw that reads it.
+  /** Draw a cluster's training vectors from its `pool`, and return them
+    * with the number of labels they cost. `budget`, `idf` and `seed` steer
+    * the AL selection; `idf` is evaluated only by a draw that reads it.
     */
   def draw(
       spark: SparkSession,
-      pool: DataFrame,
-      poolSize: Long,
+      pool: IndexedSeq[PoolVector],
       budget: Int,
       idf: => Map[Long, Double],
       seed: Long,
@@ -27,25 +25,36 @@ sealed trait ModelGen {
 
 object ModelGen {
   /** Budgeted active learning over the cluster's pool (the paper's
-    * default); every selected pair costs one label.
+    * default); every selected pair costs one label. The learner gets the
+    * pool as a driver-held DataFrame, whose collect runs no Spark job.
     */
   case object ActiveLearning extends ModelGen {
-    def draw(spark: SparkSession, pool: DataFrame, poolSize: Long, budget: Int, idf: => Map[Long, Double],
+    def draw(spark: SparkSession, pool: IndexedSeq[PoolVector], budget: Int, idf: => Map[Long, Double],
              seed: Long, cfg: MoRERConfig): (IndexedSeq[PoolVector], Int) = {
-      val selected = cfg.al.select(spark, pool, budget, cfg.alConfig, idf, seed)
+      val selected = cfg.al.select(spark, ActiveLearner.poolFrame(spark, pool), budget, cfg.alConfig, idf, seed)
       (selected, selected.size)
     }
   }
 
-  /** Every pool vector with its gold label, sampled down to `cap` (seeded
-    * by `cfg.seed`) for tractability; no labels are charged against the
-    * budget. One Spark job: the caller knows the pool size.
+  /** Every pool vector with its gold label, sampled down to about `cap`
+    * for tractability; no labels are charged against the budget. A pool
+    * of n > cap vectors keeps a vector when a hash of its pair, seeded by
+    * `cfg.seed`, falls below cap/n. The sample is returned in (recA, recB)
+    * order, so neither it nor the model fitted on it depends on the pair
+    * table's partitions. Runs on the driver, no Spark job.
     */
   final case class Supervised(cap: Int = 20000) extends ModelGen {
-    def draw(spark: SparkSession, pool: DataFrame, poolSize: Long, budget: Int, idf: => Map[Long, Double],
-             seed: Long, cfg: MoRERConfig): (IndexedSeq[PoolVector], Int) =
-      (ERDataset.sampleUpTo(pool, poolSize, cap, cfg.seed).collect().toIndexedSeq
-        .map(ActiveLearner.toPoolVector), 0)
+    def draw(spark: SparkSession, pool: IndexedSeq[PoolVector], budget: Int, idf: => Map[Long, Double],
+             seed: Long, cfg: MoRERConfig): (IndexedSeq[PoolVector], Int) = {
+      val sample = if (pool.size <= cap) pool else pool.filter(v => unitHash(v, cfg.seed) < cap.toDouble / pool.size)
+      (sample.sortBy(v => (v.recA, v.recB)), 0)
+    }
+  }
+
+  /** A hash of the pair (recA, recB) under `seed`, uniform in [0, 1). */
+  private def unitHash(v: PoolVector, seed: Long): Double = {
+    val h = Murmur3_x86_32.hashLong(v.recB, Murmur3_x86_32.hashLong(v.recA, Murmur3_x86_32.hashLong(seed, 42)))
+    (h & 0xFFFFFFFFL).toDouble / 4294967296.0
   }
 }
 
@@ -81,9 +90,6 @@ final case class MoRERResult(confusion: Confusion, repo: Repository) {
   * repository; then sel_base / sel_cov to solve the unsolved problems.
   */
 object MoRER {
-
-  private def poolColumns(pairs: DataFrame): DataFrame =
-    pairs.select("problemId", "recA", "recB", "features", "label")
 
   /** Initialize the repository from the solved problems P_I
     * (steps 1–3 of Fig. 3).
@@ -128,19 +134,17 @@ object MoRER {
     // Cluster model `id` serves the problems of infos(id).
     val modelOf = infos.zipWithIndex.flatMap { case (info, id) => info.problemIds.map(_ -> id) }.toMap
 
-    // Under AL the first draw computes the IDF scores before its
-    // selection; their collect is the first pass over pairsI and fills its
-    // cache. The supervised draw never reads them.
-    val pairsI = poolColumns(ds.pairsOf(ids)).cache()
-    lazy val idf = ModelRepository.idfScores(spark, pairsI, modelOf)
+    // One Spark job collects P_I's pairs; the IDF scores (computed only if
+    // a draw reads them) and every cluster's pool come from those vectors.
+    val vectorsI = ds.poolOf(ids)
+    lazy val idf = ModelRepository.idfScores(vectorsI, modelOf)
+    val pools = vectorsI.groupBy(v => modelOf(v.problemId)) // keeps the table's order
 
     val (models, labels) = infos.zipWithIndex.map { case (info, id) =>
-      val pool = pairsI.filter(col("problemId").isin(info.problemIds: _*))
-      val (training, spent) =
-        cfg.modelGen.draw(spark, pool, info.totalVectors, budgets(info.id), idf, cfg.seed + id, cfg)
+      val pool = pools.getOrElse(id, IndexedSeq.empty)
+      val (training, spent) = cfg.modelGen.draw(spark, pool, budgets(info.id), idf, cfg.seed + id, cfg)
       (ModelRepository.fit(id, training, ds.numFeatures, cfg), spent)
     }.unzip
-    pairsI.unpersist()
 
     Repository(models.map(m => m.id -> m).toMap, graph, modelOf, allHists, vectorCounts,
       ids.toSet, labels.sum)
@@ -204,9 +208,8 @@ object MoRER {
 
     val repo2 = toTrain match {
       case Some((kept, budget)) =>
-        val pool = poolColumns(ds.pairsOf(unsolvedMembers))
-        val (fresh, labels) =
-          cfg.modelGen.draw(spark, pool, uVecs, budget, Map.empty, cfg.seed + repo.numClusters, cfg)
+        val (fresh, labels) = cfg.modelGen.draw(spark, ds.poolOf(unsolvedMembers), budget, Map.empty,
+          cfg.seed + repo.numClusters, cfg)
         val cm = ModelRepository.fit(modelId, kept ++ fresh, ds.numFeatures, cfg)
         repo.copy(
           clusters = repo.clusters + (modelId -> cm),

@@ -54,7 +54,7 @@ object ModelRepository {
     * predicts non-match. This is the repository applied over partitioned
     * record pairs (sel_base, sel_cov and the one-model baselines): one
     * shuffle-free Spark job over the dataset's planned-once scan
-    * (`ERDataset.scoringRows`) skips the rows of other problems, decodes
+    * (`ERDataset.pairRows`) skips the rows of other problems, decodes
     * the features of the rows it keeps, scores them with the broadcast
     * models and counts each partition, and the driver adds the counts.
     */
@@ -63,13 +63,13 @@ object ModelRepository {
     // its problem id; None marks a wanted problem without a model.
     val b = spark.sparkContext.broadcast(ids.map(id => UTF8String.fromString(id) -> models.get(id)).toMap)
     try {
-      ds.scoringRows.mapPartitions { rows =>
+      ds.pairRows.mapPartitions { rows =>
         val route = b.value
         var tp, fp, fn, tn = 0L
         rows.foreach { r =>
           route.get(r.getUTF8String(0)).foreach { model =>
-            val pred = model.fold(0)(_.predict(r.getArray(1).toDoubleArray()))
-            (r.getInt(2), pred) match {
+            val pred = model.fold(0)(_.predict(r.getArray(3).toDoubleArray()))
+            (r.getInt(4), pred) match {
               case (1, 1) => tp += 1
               case (0, 1) => fp += 1
               case (1, _) => fn += 1
@@ -88,24 +88,34 @@ object ModelRepository {
     * inverted, which is ≤ 0 for all records; we use the standard IDF
     * orientation the text describes — "how unique a feature vector is".)
     *
-    * One Spark job collects the (problemId, recA, recB) triples; the
-    * per-record cluster counts are made on the driver, since a cluster
-    * pool's pairs fit it (see `ActiveLearner.selectByScore`).
+    * Counted on the driver over the pool vectors a build has collected,
+    * since the pools of a build fit it (see `ActiveLearner.selectByScore`).
+    */
+  def idfScores(pool: Seq[PoolVector], clusterOfProblem: Map[String, Int]): Map[Long, Double] =
+    idfOf(pool.iterator.map(v => (v.problemId, v.recA, v.recB)), clusterOfProblem)
+
+  /** `idfScores` of the (problemId, recA, recB) triples of `pairs`,
+    * collected in one Spark job: the form `perfbench/` times.
     */
   def idfScores(
       spark: SparkSession,
       pairs: DataFrame,
       clusterOfProblem: Map[String, Int],
-  ): Map[Long, Double] = {
+  ): Map[Long, Double] =
+    idfOf(pairs.select("problemId", "recA", "recB").collect().iterator
+      .map(r => (r.getString(0), r.getLong(1), r.getLong(2))), clusterOfProblem)
+
+  /** `pairs` is evaluated only when some problem has a cluster. */
+  private def idfOf(pairs: => Iterator[(String, Long, Long)], clusterOfProblem: Map[String, Int]): Map[Long, Double] = {
     // Only the number of distinct clusters per record counts, so any
     // labelling of the clusters gives the same scores.
     val numClusters = clusterOfProblem.values.toSet.size
     if (numClusters == 0) return Map.empty
     val recordsOf = mutable.HashMap.empty[Int, mutable.LongMap[Unit]]
-    pairs.select("problemId", "recA", "recB").collect().foreach { r =>
-      clusterOfProblem.get(r.getString(0)).foreach { c =>
+    pairs.foreach { case (pid, recA, recB) =>
+      clusterOfProblem.get(pid).foreach { c =>
         val recs = recordsOf.getOrElseUpdate(c, mutable.LongMap.empty)
-        recs(r.getLong(1)) = (); recs(r.getLong(2)) = ()
+        recs(recA) = (); recs(recB) = ()
       }
     }
     val clustersOf = mutable.LongMap.empty[Int]

@@ -4,6 +4,8 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions.col
+import org.apache.spark.unsafe.types.UTF8String
+import repro.ml.PoolVector
 
 /** How one similarity feature of a record pair is computed.
   *
@@ -39,9 +41,9 @@ final case class ERProblem(id: String, srcA: Int, srcB: Int, split: String)
   * @param problems  every ER problem the generator configuration implies
   *                  (a problem may have no candidate pairs in `pairs`)
   *
-  * A caller caches `pairs` before the first scoring call
-  * (`ModelRepository.confusion`): `scoringRows` is planned once, then, and
-  * scans whatever `pairs` resolved to at that moment.
+  * A caller caches `pairs` before the first pass over `pairRows` (a
+  * `poolOf` or a `ModelRepository.confusion` call): `pairRows` is planned
+  * once, then, and scans whatever `pairs` resolved to at that moment.
   */
 final case class ERDataset(
     name: String,
@@ -56,12 +58,28 @@ final case class ERDataset(
   /** The candidate pairs of the problems `ids`. */
   def pairsOf(ids: Seq[String]): DataFrame = pairs.filter(col("problemId").isin(ids: _*))
 
-  /** (problemId, features, label) of every pair, as the rows of one scan of
-    * `pairs`, planned on first use. Scoring runs jobs over it without
-    * planning a query per call.
+  /** (problemId, recA, recB, features, label) of every pair, as the rows
+    * of one scan of `pairs`, planned on first use. Pool draws and scoring
+    * run jobs over it without planning a query per call.
     */
-  @transient lazy val scoringRows: RDD[InternalRow] =
-    pairs.select("problemId", "features", "label").queryExecution.toRdd
+  @transient lazy val pairRows: RDD[InternalRow] =
+    pairs.select("problemId", "recA", "recB", "features", "label").queryExecution.toRdd
+
+  /** The pairs of the problems `ids` as driver-held pool vectors, in the
+    * table's order: the rows of `pairsOf(ids).collect()`. One shuffle-free
+    * Spark job over `pairRows` skips the rows of other problems, by their
+    * encoded id, and decodes the rest.
+    */
+  def poolOf(ids: Seq[String]): IndexedSeq[PoolVector] = {
+    val b = pairs.sparkSession.sparkContext.broadcast(ids.map(UTF8String.fromString).toSet)
+    try {
+      pairRows.mapPartitions { rows =>
+        val wanted = b.value
+        rows.filter(r => wanted(r.getUTF8String(0))).map(r => PoolVector(
+          r.getUTF8String(0).toString, r.getLong(1), r.getLong(2), r.getArray(3).toDoubleArray(), r.getInt(4)))
+      }.collect().toIndexedSeq
+    } finally b.destroy()
+  }
 }
 
 object ERDataset {

@@ -1,6 +1,8 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec, TestData}
+import repro.al.SparkJobs
+import repro.erdata.{GenConfig, MultiSourceGen}
 
 class DistributionAnalysisSpec extends SparkSpec {
 
@@ -21,6 +23,24 @@ class DistributionAnalysisSpec extends SparkSpec {
 
   test("cdf of empty histogram is all zeros") {
     assert(hist("e", Array(0L, 0L, 0L, 0L)).cdf.forall(_ == 0.0))
+  }
+
+  test("the cdf kept by a histogram equals the per-call formula, bit for bit") {
+    // The formula every KS and WD comparison used to evaluate.
+    def perCall(h: FeatureHistogram): Array[Double] = {
+      val out = new Array[Double](h.bins.length)
+      var acc = 0.0
+      var i = 0
+      while (i < h.bins.length) { acc += h.bins(i); out(i) = if (h.total > 0) acc / h.total else 0.0; i += 1 }
+      out
+    }
+    val ds = TestData.camera
+    val real = DistributionAnalysis.histograms(ds.pairs, ds.numFeatures).values.flatten
+    for (h <- real ++ Seq(uniform4, pointLow, pointHigh, hist("e", Array(0L, 0L, 0L, 0L)))) {
+      assert(h.cdf.map(java.lang.Double.doubleToRawLongBits).toSeq ==
+        perCall(h).map(java.lang.Double.doubleToRawLongBits).toSeq, s"${h.problemId} feature ${h.feature}")
+      assert(h.cdf eq h.cdf)
+    }
   }
 
   test("props are smoothed away from zero") {
@@ -130,6 +150,62 @@ class DistributionAnalysisSpec extends SparkSpec {
       fh.foreach(h => assert(h.total == counts(pid), s"$pid feature ${h.feature}"))
     }
     assert(DistributionAnalysis.pairCounts(hs) == counts)
+  }
+
+  test("histograms equal the SQL aggregate they replaced, at 64 and 7 shuffle partitions") {
+    import org.apache.spark.sql.functions._
+    // The posexplode → groupBy → agg query histograms ran before it became
+    // one pass over the rows, with its driver-side assembly.
+    def reference(pairs: org.apache.spark.sql.DataFrame, numFeatures: Int, numBins: Int) = {
+      val agg = pairs
+        .select(col("problemId"), posexplode(col("features")).as(Seq("feature", "v")))
+        .withColumn("bin", least(floor(col("v") * numBins).cast("int"), lit(numBins - 1)))
+        .groupBy("problemId", "feature", "bin")
+        .agg(count(lit(1)) as "n", sum("v") as "s1", sum(col("v") * col("v")) as "s2")
+        .collect()
+      agg.groupBy(_.getString(0)).map { case (pid, rows) =>
+        val byFeature = rows.groupBy(_.getInt(1))
+        pid -> (0 until numFeatures).map { f =>
+          val bins = new Array[Long](numBins)
+          var n = 0L; var s1 = 0.0; var s2 = 0.0
+          byFeature.getOrElse(f, Array.empty).foreach { r =>
+            bins(r.getInt(2)) = r.getLong(3)
+            n += r.getLong(3); s1 += r.getDouble(4); s2 += r.getDouble(5)
+          }
+          val mean = if (n > 0) s1 / n else 0.0
+          val varr = if (n > 0) math.max(0.0, s2 / n - mean * mean) else 0.0
+          FeatureHistogram(pid, f, bins, n, mean, math.sqrt(varr))
+        }
+      }
+    }
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    def check(config: GenConfig, partitions: Int): Unit = {
+      spark.conf.set(key, partitions.toLong)
+      val ds = MultiSourceGen.generate(spark, config)
+      ds.pairs.cache()
+      try {
+        val got = DistributionAnalysis.histograms(ds.pairs, ds.numFeatures)
+        val want = reference(ds.pairs, ds.numFeatures, DistributionAnalysis.DefaultBins)
+        assert(got.keySet == want.keySet)
+        for ((pid, hs) <- got; (g, w) <- hs.zip(want(pid))) {
+          val at = s"${config.name} at $partitions partitions, $pid feature ${g.feature}"
+          assert(g.problemId == w.problemId && g.feature == w.feature, at)
+          assert(g.bins.toSeq == w.bins.toSeq && g.total == w.total, at)
+          assert(math.abs(g.mean - w.mean) <= 1e-12 && math.abs(g.std - w.std) <= 1e-12, at)
+        }
+      } finally ds.pairs.unpersist()
+    }
+    try {
+      for (config <- Seq(TestData.tinyCameraConfig(), TestData.tinyMusicConfig()); n <- Seq(64, 7))
+        check(config, n)
+    } finally spark.conf.set(key, saved)
+  }
+
+  test("histograms run one Spark job") {
+    // The SQL aggregate it replaced ran 2 jobs and 1 query.
+    val ds = TestData.camera
+    assert(SparkJobs.count(spark) { DistributionAnalysis.histograms(ds.pairs, ds.numFeatures) } == 1)
   }
 
   test("histogram bin counts match DuckDB binning (oracle)") {

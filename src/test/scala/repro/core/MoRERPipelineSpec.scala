@@ -3,7 +3,7 @@ package repro.core
 import scala.util.Random
 import repro.{SparkSpec, TestData}
 import repro.erdata.MultiSourceGen
-import repro.al.{ALConfig, AlmserAL, SelectionFingerprint, SparkJobs}
+import repro.al.{ALConfig, ActiveLearner, AlmserAL, SelectionFingerprint, SparkJobs}
 
 /** End-to-end integration of the MoRER pipeline on the tiny corpora. */
 class MoRERPipelineSpec extends SparkSpec {
@@ -89,7 +89,9 @@ class MoRERPipelineSpec extends SparkSpec {
     // into 64: the camera corpus and each run are rebuilt at every layout.
     val key = "spark.sql.shuffle.partitions"
     val saved = spark.conf.get(key)
-    val configs = Seq(cfg(), cfg(MoRERConfig(selection = "cov", tCov = 0.05)), cfg(MoRERConfig(al = AlmserAL)))
+    val configs = Seq(cfg(), cfg(MoRERConfig(selection = "cov", tCov = 0.05)), cfg(MoRERConfig(al = AlmserAL)),
+      cfg(MoRERConfig(modelGen = ModelGen.Supervised(cap = 100))),
+      cfg(MoRERConfig(modelGen = ModelGen.Supervised(cap = 100), selection = "cov", tCov = 0.05)))
     def outcomes(partitions: Int) = {
       spark.conf.set(key, partitions.toLong)
       val corpus = MultiSourceGen.generate(spark, TestData.tinyCameraConfig())
@@ -154,14 +156,51 @@ class MoRERPipelineSpec extends SparkSpec {
   }
 
   test("a Supervised draw runs one Spark job") {
-    // The caller passes the pool size, so the capped sample needs no count.
-    val pool = ds.pairsOf(split._1).select("problemId", "recA", "recB", "features", "label").cache()
-    val n = pool.count()
+    // The pool's collect is the one job; the capped sample is drawn on the driver.
+    // A first poolOf materialises the cached pair table, so the count sees only the draw.
+    ds.poolOf(split._1)
     val sup = ModelGen.Supervised(cap = 100)
+    var pool = IndexedSeq.empty[repro.ml.PoolVector]
     var drawn = IndexedSeq.empty[repro.ml.PoolVector]
-    assert(SparkJobs.count(spark) { drawn = sup.draw(spark, pool, n, 0, Map.empty, 1, cfg())._1 } == 1)
-    pool.unpersist()
-    assert(drawn.nonEmpty && drawn.size < n)
+    assert(SparkJobs.count(spark) { pool = ds.poolOf(split._1) } == 1)
+    assert(SparkJobs.count(spark) { drawn = sup.draw(spark, pool, 0, Map.empty, 1, cfg())._1 } == 0)
+    assert(drawn.nonEmpty && drawn.size < pool.size)
+  }
+
+  test("a Supervised draw samples by pair, not by position") {
+    val pool = ds.poolOf(split._1)
+    val sup = ModelGen.Supervised(cap = 100)
+    val drawn = sup.draw(spark, pool, 0, Map.empty, 1, cfg())._1
+    assert(drawn.nonEmpty && drawn.size < pool.size)
+    assert(drawn == drawn.sortBy(v => (v.recA, v.recB)))
+    // The same pairs in another order give the same sample.
+    assert(sup.draw(spark, pool.reverse, 0, Map.empty, 1, cfg())._1 == drawn)
+  }
+
+  test("a Bootstrap initRepository runs one Spark job") {
+    // One pool collect; each cluster's AL pool is a driver-held DataFrame,
+    // whose collect is a SQL query that runs no job. The path this replaced
+    // (a cached pairsOf DataFrame, its IDF collect and one collect per
+    // cluster pool, 3 here) ran 5 jobs and 4 queries.
+    val c = cfg()
+    val hists = DistributionAnalysis.histograms(ds.pairs, ds.numFeatures, c.numBins)
+    var repo: Repository = null
+    val queries = SparkJobs.queries(spark) {
+      assert(SparkJobs.count(spark) {
+        repo = MoRER.initRepository(spark, ds, split._1, hists, DistributionAnalysis.pairCounts(hists), c)
+      } == 1)
+    }
+    assert(queries == repo.numClusters)
+  }
+
+  test("poolOf returns the rows of pairsOf(ids).collect(), in order") {
+    def rows(vs: Seq[repro.ml.PoolVector]) = vs.map(v => (v.problemId, v.recA, v.recB, v.features.toSeq, v.oracleLabel))
+    val music = TestData.music
+    for (d <- Seq(ds, music); ids <- Seq(d.problemIds, d.problemIds.take(3), Seq("no such problem"), Nil)) {
+      val want = d.pairsOf(ids).select("problemId", "recA", "recB", "features", "label").collect().toSeq
+        .map(ActiveLearner.toPoolVector)
+      assert(rows(d.poolOf(ids)) == rows(want), s"${d.name}: ${ids.size} ids")
+    }
   }
 
   test("a sel_base search runs one Spark job") {

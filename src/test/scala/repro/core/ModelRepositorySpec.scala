@@ -100,6 +100,14 @@ class ModelRepositorySpec extends SparkSpec {
     assert(ModelRepository.idfScores(spark, ds.pairs, clusterOf) == reference)
   }
 
+  test("idfScores of pool vectors equals idfScores of their DataFrame") {
+    val ds = TestData.camera
+    val clusterOf = ds.problemIds.zipWithIndex.map { case (p, i) => p -> i % 3 }.toMap
+    val ids = ds.problemIds.take(7)
+    assert(ModelRepository.idfScores(ds.poolOf(ids), clusterOf) ==
+      ModelRepository.idfScores(spark, ds.pairsOf(ids), clusterOf))
+  }
+
   test("idfScores with no clusters is empty") {
     assert(ModelRepository.idfScores(spark, TestData.camera.pairs, Map.empty).isEmpty)
   }
