@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.unsafe.types.UTF8String
 import scala.collection.mutable
+import repro.erdata.PartitionJob
 
 /** Empirical distribution of one similarity feature of one ER problem,
   * as a fixed-width histogram over [0,1] plus exact moments.
@@ -109,16 +110,17 @@ object DistributionAnalysis {
     }
   }
 
-  /** Histograms of every (problemId, feature) in `pairs`: one Spark job
-    * over the rows of one scan, in which each partition sums its pairs per
-    * problem; the driver adds the partitions' sums in partition order.
+  /** Histograms of every (problemId, feature) in `pairs`: one Spark job,
+    * run by `PartitionJob.run` directly on the rows of one scan, in which
+    * each partition sums its pairs per problem; the driver adds the
+    * partitions' sums in partition order.
     */
   def histograms(
       pairs: DataFrame,
       numFeatures: Int,
       numBins: Int = DefaultBins,
   ): Map[String, IndexedSeq[FeatureHistogram]] = {
-    val parts = pairs.select("problemId", "features").queryExecution.toRdd.mapPartitions { rows =>
+    val parts = PartitionJob.run(pairs.select("problemId", "features").queryExecution.toRdd) { rows =>
       val byProblem = mutable.HashMap.empty[UTF8String, Moments]
       rows.foreach { r =>
         val m = byProblem.getOrElseUpdate(r.getUTF8String(0).clone(), new Moments(numFeatures, numBins))
@@ -132,8 +134,8 @@ object DistributionAnalysis {
           f += 1
         }
       }
-      Iterator.single(byProblem.map { case (pid, m) => pid.toString -> m }.toMap)
-    }.collect()
+      byProblem.map { case (pid, m) => pid.toString -> m }.toMap
+    }
 
     val total = mutable.HashMap.empty[String, Moments]
     parts.foreach(_.foreach { case (pid, m) =>

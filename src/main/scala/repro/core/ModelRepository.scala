@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.unsafe.types.UTF8String
 import scala.collection.mutable
-import repro.erdata.ERDataset
+import repro.erdata.{ERDataset, PartitionJob}
 import repro.eval.Metrics.Confusion
 import repro.ml.{LabeledVector, PoolVector, RandomForest}
 
@@ -53,17 +53,18 @@ object ModelRepository {
     * predicted by its problem's model in `models`; a problem without a model
     * predicts non-match. This is the repository applied over partitioned
     * record pairs (sel_base, sel_cov and the one-model baselines): one
-    * shuffle-free Spark job over the dataset's planned-once scan
-    * (`ERDataset.pairRows`) skips the rows of other problems, decodes
-    * the features of the rows it keeps, scores them with the broadcast
-    * models and counts each partition, and the driver adds the counts.
+    * shuffle-free Spark job, run by `PartitionJob.run` directly on the
+    * dataset's planned-once scan (`ERDataset.pairRows`), skips the rows of
+    * other problems, decodes the features of the rows it keeps, scores
+    * them with the broadcast models and counts each partition, and the
+    * driver adds the counts in partition order.
     */
   def confusion(spark: SparkSession, ds: ERDataset, ids: Seq[String], models: Map[String, RandomForest]): Confusion = {
     // Keyed by the rows' own encoding, so a row is routed without decoding
     // its problem id; None marks a wanted problem without a model.
     val b = spark.sparkContext.broadcast(ids.map(id => UTF8String.fromString(id) -> models.get(id)).toMap)
     try {
-      ds.pairRows.mapPartitions { rows =>
+      PartitionJob.run(ds.pairRows) { rows =>
         val route = b.value
         var tp, fp, fn, tn = 0L
         rows.foreach { r =>
@@ -77,8 +78,8 @@ object ModelRepository {
             }
           }
         }
-        Iterator.single(Confusion(tp, fp, fn, tn))
-      }.fold(Confusion.empty)(_ + _)
+        Confusion(tp, fp, fn, tn)
+      }.foldLeft(Confusion.empty)(_ + _)
     } finally b.destroy()
   }
 

@@ -60,24 +60,25 @@ final case class ERDataset(
 
   /** (problemId, recA, recB, features, label) of every pair, as the rows
     * of one scan of `pairs`, planned on first use. Pool draws and scoring
-    * run jobs over it without planning a query per call.
+    * submit their jobs over this RDD itself (`PartitionJob.run`), without
+    * planning a query or building an RDD per call.
     */
   @transient lazy val pairRows: RDD[InternalRow] =
     pairs.select("problemId", "recA", "recB", "features", "label").queryExecution.toRdd
 
   /** The pairs of the problems `ids` as driver-held pool vectors, in the
     * table's order: the rows of `pairsOf(ids).collect()`. One shuffle-free
-    * Spark job over `pairRows` skips the rows of other problems, by their
-    * encoded id, and decodes the rest.
+    * Spark job, run directly on `pairRows` by `PartitionJob.run`, skips the
+    * rows of other problems, by their encoded id, and decodes the rest.
     */
   def poolOf(ids: Seq[String]): IndexedSeq[PoolVector] = {
     val b = pairs.sparkSession.sparkContext.broadcast(ids.map(UTF8String.fromString).toSet)
     try {
-      pairRows.mapPartitions { rows =>
+      PartitionJob.run(pairRows) { rows =>
         val wanted = b.value
         rows.filter(r => wanted(r.getUTF8String(0))).map(r => PoolVector(
-          r.getUTF8String(0).toString, r.getLong(1), r.getLong(2), r.getArray(3).toDoubleArray(), r.getInt(4)))
-      }.collect().toIndexedSeq
+          r.getUTF8String(0).toString, r.getLong(1), r.getLong(2), r.getArray(3).toDoubleArray(), r.getInt(4))).toArray
+      }.iterator.flatten.toIndexedSeq
     } finally b.destroy()
   }
 }

@@ -208,6 +208,21 @@ class DistributionAnalysisSpec extends SparkSpec {
     assert(SparkJobs.count(spark) { DistributionAnalysis.histograms(ds.pairs, ds.numFeatures) } == 1)
   }
 
+  test("histograms run their job on their scan of the pairs itself") {
+    // RDD ids are handed out in order. One scan of (problemId, features)
+    // builds `width` RDDs, so a job over the scan itself, with no RDD built
+    // on top of it, runs on the id `width` past the last one made before.
+    val ds = TestData.camera
+    def newestId() = spark.sparkContext.emptyRDD[Int].id
+    val width = { val last = newestId(); ds.pairs.select("problemId", "features").queryExecution.toRdd.id - last }
+    var last = 0
+    val jobs = SparkJobs.rdds(spark) {
+      last = newestId()
+      DistributionAnalysis.histograms(ds.pairs, ds.numFeatures)
+    }
+    assert(jobs == Seq(last + width))
+  }
+
   test("histogram bin counts match DuckDB binning (oracle)") {
     import org.apache.spark.sql.functions._
     val ds = TestData.camera

@@ -203,6 +203,14 @@ class MoRERPipelineSpec extends SparkSpec {
     }
   }
 
+  test("a pool collect and a scoring pass run their job on the pair scan itself") {
+    // The job is submitted over ds.pairRows, with no RDD built on top of it.
+    assert(SparkJobs.rdds(spark) { ds.poolOf(split._1) } == Seq(ds.pairRows.id))
+    assert(SparkJobs.rdds(spark) {
+      ModelRepository.confusion(spark, ds, split._2, Map.empty)
+    } == Seq(ds.pairRows.id))
+  }
+
   test("a sel_base search runs one Spark job") {
     val repo = baseResult.repo
     assert(SparkJobs.count(spark) { MoRER.solveBaseAllWithTest(spark, ds, repo, split._2, KS) } == 1)
