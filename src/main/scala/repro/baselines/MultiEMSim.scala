@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.SparkSession
 import repro.erdata.ERDataset
 import repro.eval.Metrics.Confusion
 import repro.ml.TextFeatures
@@ -13,18 +12,13 @@ import repro.ml.TextFeatures
   * configuration reported. No training phase, so it is the fastest
   * method; a single global threshold over heterogeneous sources is also
   * why it trails the supervised methods on Dexter/WDC. Nothing is drawn
-  * at random, so `seed` is unused.
+  * at random.
   */
 object MultiEMSim {
   val Dim = 1 << 13
   val Grid: Seq[Double] = (5 to 19).map(_ * 0.05)
 
-  def run(
-      spark: SparkSession,
-      ds: ERDataset,
-      testIds: Seq[String],
-      seed: Long = 7,
-  ): Confusion = {
+  def run(ds: ERDataset, testIds: Seq[String]): Confusion = {
     val sim = (aText: String, bText: String) => {
       val (ia, va) = TextFeatures.hashed(TextFeatures.tokens(aText), Dim)
       val (ib, vb) = TextFeatures.hashed(TextFeatures.tokens(bText), Dim)

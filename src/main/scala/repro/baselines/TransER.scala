@@ -21,8 +21,8 @@ import repro.ml.{LabeledVector, RandomForest}
   * corpora with many feature vectors).
   */
 object TransER {
-  val DefaultK = 10
-  val DefaultTp = 0.9
+  val K = 10    // neighbors that vote on a target vector's pseudo-label
+  val Tp = 0.9  // t_p: the share of their votes a pseudo-label needs
   val TrainCap = 20000
 
   def run(
@@ -31,8 +31,6 @@ object TransER {
       trainIds: Seq[String],
       testIds: Seq[String],
       trainFraction: Double = 1.0,
-      k: Int = DefaultK,
-      tP: Double = DefaultTp,
       seed: Long = 7,
   ): Confusion = {
     val bucketUdf = udf((f: Seq[Double]) => f.map(x => math.min((x * 5).toInt, 4)).mkString("_"))
@@ -65,12 +63,12 @@ object TransER {
     val knn = tgt.join(src, "bucket")
       .withColumn("dist", distUdf(col("features"), col("srcFeatures")))
       .withColumn("rn", row_number().over(w))
-      .filter(col("rn") <= k)
+      .filter(col("rn") <= K)
 
     val votes = knn.groupBy("problemId", "recA", "recB")
       .agg(first("features") as "features", avg("srcLabel") as "conf", count(lit(1)) as "n")
       .withColumn("pseudo",
-        when(col("conf") >= tP, 1).when(col("conf") <= 1.0 - tP, 0).otherwise(lit(null)))
+        when(col("conf") >= Tp, 1).when(col("conf") <= 1.0 - Tp, 0).otherwise(lit(null)))
       .filter(col("pseudo").isNotNull)
 
     val sampled = ERDataset.sampleUpTo(votes, votes.count(), TrainCap, seed)

@@ -26,10 +26,13 @@ final case class FeatureHistogram(
     while (i < bins.length) { acc += bins(i); out(i) = if (total > 0) acc / total else 0.0; i += 1 }
     out
   }
-  /** Bin proportions with ε-smoothing (for PSI's log-ratio). */
-  def props(eps: Double = 1e-4): Array[Double] =
-    bins.map(c => math.max(if (total > 0) c.toDouble / total else 0.0, eps))
+  /** Bin proportions floored at `MinProp`, computed once for PSI's log-ratio. */
+  lazy val props: Array[Double] =
+    bins.map(c => math.max(if (total > 0) c.toDouble / total else 0.0, FeatureHistogram.MinProp))
 }
+
+/** `MinProp`: PSI's smoothing floor, so no bin proportion is 0. */
+object FeatureHistogram { val MinProp = 1e-4 }
 
 /** The univariate distribution test used to compare two ER problems'
   * per-feature similarity distributions (paper §4.2). Distances are
@@ -71,7 +74,7 @@ case object WD extends DistTest {
 case object PSI extends DistTest {
   val name = "PSI"
   def similarity(a: FeatureHistogram, b: FeatureHistogram): Double = {
-    val pa = a.props(); val pb = b.props()
+    val pa = a.props; val pb = b.props
     var s = 0.0; var i = 0
     while (i < pa.length) { s += (pa(i) - pb(i)) * math.log(pa(i) / pb(i)); i += 1 }
     1.0 / (1.0 + s)
@@ -93,13 +96,21 @@ object DistTest {
 object DistributionAnalysis {
   val DefaultBins = 100
 
-  /** Bin counts, Σx and Σx² of one problem's features, bin counts laid
-    * out feature-major.
+  /** Bin counts, Σx and Σx² per feature of one set of vectors (a problem's
+    * pairs or a cluster's training vectors), bin counts laid out
+    * feature-major: the one summary every `FeatureHistogram` comes from,
+    * so problems and clusters are binned by the same rule.
     */
   private final class Moments(numFeatures: Int, numBins: Int) extends Serializable {
-    val bins = new Array[Long](numFeatures * numBins)
-    val s1 = new Array[Double](numFeatures)
-    val s2 = new Array[Double](numFeatures)
+    private val bins = new Array[Long](numFeatures * numBins)
+    private val s1 = new Array[Double](numFeatures)
+    private val s2 = new Array[Double](numFeatures)
+
+    /** Counts `x` ∈ [0,1] of `feature` in bin min(floor(x·numBins), numBins−1). */
+    def add(feature: Int, x: Double): Unit = {
+      bins(feature * numBins + math.min(math.floor(x * numBins).toInt, numBins - 1)) += 1
+      s1(feature) += x; s2(feature) += x * x
+    }
 
     def +=(o: Moments): this.type = {
       var i = 0
@@ -108,6 +119,16 @@ object DistributionAnalysis {
       while (i < s1.length) { s1(i) += o.s1(i); s2(i) += o.s2(i); i += 1 }
       this
     }
+
+    /** One histogram per feature, its mean and std from Σx and Σx². */
+    def histograms(id: String): IndexedSeq[FeatureHistogram] =
+      (0 until numFeatures).map { f =>
+        val fb = bins.slice(f * numBins, (f + 1) * numBins)
+        val n = fb.sum
+        val mean = if (n > 0) s1(f) / n else 0.0
+        val varr = if (n > 0) math.max(0.0, s2(f) / n - mean * mean) else 0.0
+        FeatureHistogram(id, f, fb, n, mean, math.sqrt(varr))
+      }
   }
 
   /** Histograms of every (problemId, feature) in `pairs`: one Spark job,
@@ -127,12 +148,7 @@ object DistributionAnalysis {
         val xs = r.getArray(1)
         val n = math.min(xs.numElements(), numFeatures)
         var f = 0
-        while (f < n) {
-          val x = xs.getDouble(f)
-          m.bins(f * numBins + math.min(math.floor(x * numBins).toInt, numBins - 1)) += 1
-          m.s1(f) += x; m.s2(f) += x * x
-          f += 1
-        }
+        while (f < n) { m.add(f, xs.getDouble(f)); f += 1 }
       }
       byProblem.map { case (pid, m) => pid.toString -> m }.toMap
     }
@@ -144,15 +160,7 @@ object DistributionAnalysis {
         case None      => total(pid) = m
       }
     })
-    total.map { case (pid, m) =>
-      pid -> (0 until numFeatures).map { f =>
-        val bins = m.bins.slice(f * numBins, (f + 1) * numBins)
-        val n = bins.sum
-        val mean = if (n > 0) m.s1(f) / n else 0.0
-        val varr = if (n > 0) math.max(0.0, m.s2(f) / n - mean * mean) else 0.0
-        FeatureHistogram(pid, f, bins, n, mean, math.sqrt(varr))
-      }
-    }.toMap
+    total.map { case (pid, m) => pid -> m.histograms(pid) }.toMap
   }
 
   /** Per-problem pair counts |p_{k,l}|: each of a problem's feature
@@ -170,20 +178,14 @@ object DistributionAnalysis {
       vecs: Seq[Array[Double]],
       numFeatures: Int,
       numBins: Int = DefaultBins,
-  ): IndexedSeq[FeatureHistogram] =
-    (0 until numFeatures).map { f =>
-      val bins = new Array[Long](numBins)
-      var s1 = 0.0; var s2 = 0.0
-      vecs.foreach { v =>
-        val x = v(f)
-        bins(math.min((x * numBins).toInt, numBins - 1)) += 1
-        s1 += x; s2 += x * x
-      }
-      val n = vecs.size.toLong
-      val mean = if (n > 0) s1 / n else 0.0
-      val varr = if (n > 0) math.max(0.0, s2 / n - mean * mean) else 0.0
-      FeatureHistogram(id, f, bins, n, mean, math.sqrt(varr))
+  ): IndexedSeq[FeatureHistogram] = {
+    val m = new Moments(numFeatures, numBins)
+    vecs.foreach { v =>
+      var f = 0
+      while (f < numFeatures) { m.add(f, v(f)); f += 1 }
     }
+    m.histograms(id)
+  }
 
   /** Aggregated problem similarity sim_p: the per-feature test
     * similarities averaged with std-dev weights (a feature's standard

@@ -34,6 +34,8 @@ object ClusterAlgo {
   * scalability in the repository-size dimension.
   */
 object Leiden {
+  private val MaxLevels = 10 // aggregation levels after which Leiden stops
+  private val MaxIters = 50  // sweeps after which label propagation stops
 
   /** Internal mutable view of a weighted graph at one aggregation level. */
   private final class G(val n: Int, val adj: Array[mutable.ArrayBuffer[(Int, Double)]],
@@ -106,7 +108,6 @@ object Leiden {
       edges: Iterable[((Int, Int), Double)],
       seed: Long = 0L,
       resolution: Double = 1.0,
-      maxLevels: Int = 10,
   ): Array[Int] = {
     if (n == 0) return Array.empty
     val rng = new Random(seed)
@@ -117,7 +118,7 @@ object Leiden {
     var superOf = Array.tabulate(n)(identity)
     var level = 0
     var improved = true
-    while (improved && level < maxLevels) {
+    while (improved && level < MaxLevels) {
       val comm = Array.tabulate(g.n)(identity)
       improved = localMove(g, comm, None, resolution, rng)
       // Refinement: within each local-move community, re-partition from
@@ -157,14 +158,13 @@ object Leiden {
       n: Int,
       edges: Iterable[((Int, Int), Double)],
       seed: Long = 0L,
-      maxIters: Int = 50,
   ): Array[Int] = {
     val g = toG(n, edges)
     val rng = new Random(seed)
     val label = Array.tabulate(n)(identity)
     var changed = true
     var it = 0
-    while (changed && it < maxIters) {
+    while (changed && it < MaxIters) {
       changed = false
       it += 1
       for (i <- rng.shuffle((0 until n).toVector)) {

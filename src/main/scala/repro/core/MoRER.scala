@@ -95,7 +95,8 @@ object MoRER {
     * (steps 1–3 of Fig. 3).
     *
     * @param allHists      per-problem feature histograms (must cover initIds)
-    * @param vectorCounts  per-problem pair counts (must cover initIds)
+    * @param vectorCounts  per-problem pair counts (must cover initIds); they
+    *                      size the clusters' budgets (Eqs. 5–9)
     */
   def initRepository(
       spark: SparkSession,
@@ -146,8 +147,7 @@ object MoRER {
       (ModelRepository.fit(id, training, ds.numFeatures, cfg), spent)
     }.unzip
 
-    Repository(models.map(m => m.id -> m).toMap, graph, modelOf, allHists, vectorCounts,
-      ids.toSet, labels.sum)
+    Repository(models.map(m => m.id -> m).toMap, graph, modelOf, allHists, ids.toSet, labels.sum)
   }
 
   /** sel_cov: integrate one new ER problem into the graph, re-cluster,
@@ -184,9 +184,9 @@ object MoRER {
     val modelId = prevId.getOrElse(repo.numClusters)
 
     // Coverage ratio (Eq. 13): share of the cluster's vectors coming
-    // from problems not yet used for training.
-    val uVecs = unsolvedMembers.map(p => repo.vectorCounts.getOrElse(p, 0L)).sum
-    val aVecs = members.map(p => repo.vectorCounts.getOrElse(p, 0L)).sum
+    // from problems not yet used for training; histograms count pairs.
+    val uVecs = unsolvedMembers.map(p => repo.problemHists(p).head.total).sum
+    val aVecs = members.map(p => repo.problemHists(p).head.total).sum
     val cov = if (aVecs > 0) uVecs.toDouble / aVecs else 0.0
 
     // The training kept from the previous model and the budget of the

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.unsafe.types.UTF8String
+import scala.annotation.unused
 import scala.collection.mutable
 import repro.erdata.{ERDataset, PartitionJob}
 import repro.eval.Metrics.Confusion
@@ -26,8 +27,9 @@ final case class ClusterModel(
   * @param modelOf       problem id → stable cluster-model id; the one
   *                      record of which problems each model serves
   * @param problemHists  per-problem feature histograms of every problem
-  *                      integrated into the graph so far
-  * @param vectorCounts  per-problem pair counts (|p_{k,l}|)
+  *                      integrated into the graph so far; each
+  *                      feature's histogram also counts the problem's
+  *                      pairs (|p_{k,l}|)
   * @param solvedT       T — problems whose vectors have been used for
   *                      training-data selection
   * @param labelsSpent   labeling budget consumed so far
@@ -40,7 +42,6 @@ final case class Repository(
     graph: ProblemGraph,
     modelOf: Map[String, Int],
     problemHists: Map[String, IndexedSeq[FeatureHistogram]],
-    vectorCounts: Map[String, Long],
     solvedT: Set[String],
     labelsSpent: Int,
 ) {
@@ -96,10 +97,11 @@ object ModelRepository {
     idfOf(pool.iterator.map(v => (v.problemId, v.recA, v.recB)), clusterOfProblem)
 
   /** `idfScores` of the (problemId, recA, recB) triples of `pairs`,
-    * collected in one Spark job: the form `perfbench/` times.
+    * collected in one Spark job: the form `perfbench/` times. `spark` is
+    * unused; it stays because `perfbench/` passes it.
     */
   def idfScores(
-      spark: SparkSession,
+      @unused spark: SparkSession,
       pairs: DataFrame,
       clusterOfProblem: Map[String, Int],
   ): Map[Long, Double] =

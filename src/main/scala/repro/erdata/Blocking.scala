@@ -1,6 +1,6 @@
 package repro.erdata
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Standard blocking: candidate record pairs are records agreeing on the
@@ -22,7 +22,7 @@ object Blocking {
     * label, and raw attributes of both sides (a_a1..a_num2, b_a1..b_num2)
     * for feature computation and for the text-serialization baselines.
     */
-  def candidatePairs(spark: SparkSession, records: DataFrame, cfg: GenConfig): DataFrame = {
+  def candidatePairs(records: DataFrame, cfg: GenConfig): DataFrame = {
     val a = records.filter(col("block") =!= "").alias("a")
     val b = records.filter(col("block") =!= "").alias("b")
 

@@ -284,7 +284,7 @@ object MultiSourceGen {
   /** Build the full dataset: records → blocked pairs → features. */
   def generate(spark: SparkSession, cfg: GenConfig): ERDataset = {
     val recs  = records(spark, cfg)
-    val pairs = Blocking.candidatePairs(spark, recs, cfg)
+    val pairs = Blocking.candidatePairs(recs, cfg)
     val withF = repro.core.FeatureVectors.withFeatures(pairs, specsFor(cfg.domain))
     ERDataset(cfg.name, recs, withF, specsFor(cfg.domain), problemsOf(cfg))
   }

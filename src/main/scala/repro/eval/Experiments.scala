@@ -128,8 +128,8 @@ object Experiments {
       (AnyMatchSim.run(spark, b.ds, b.initIds, b.unsolvedIds, seed = seed).f1, AnyMatchSim.DefaultSample)
     }
 
-  def runMultiEM(spark: SparkSession, b: Bundle, seed: Long = 7): RunResult =
-    timedRun("MultiEM", b, 0)((MultiEMSim.run(spark, b.ds, b.unsolvedIds, seed).f1, 0))
+  def runMultiEM(b: Bundle): RunResult =
+    timedRun("MultiEM", b, 0)((MultiEMSim.run(b.ds, b.unsolvedIds).f1, 0))
 
   // ------------------------------------------------------------- tables
 
@@ -174,7 +174,7 @@ object Experiments {
         runDitto(spark, b, 1.0, seed), runDitto(spark, b, 0.5, seed),
         runSudowoodo(spark, b, budgets.head, seed),
         runAnyMatch(spark, b, seed),
-        runMultiEM(spark, b, seed))
+        runMultiEM(b))
       unload(b)
       morer ++ almser ++ others
     }

@@ -12,10 +12,6 @@ sealed trait TreeNode extends Serializable {
     case Split(f, t, left, right)     =>
       if (x(f) <= t) left.predictProb(x) else right.predictProb(x)
   }
-  def depth: Int = this match {
-    case Leaf(_)            => 1
-    case Split(_, _, l, r)  => 1 + math.max(l.depth, r.depth)
-  }
 }
 final case class Leaf(prob: Double) extends TreeNode
 final case class Split(feature: Int, threshold: Double, left: TreeNode, right: TreeNode)

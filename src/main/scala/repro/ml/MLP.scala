@@ -53,6 +53,7 @@ final case class MLPModel(
 }
 
 object MLP {
+  private val Margin = 1.0 // the triplet loss's margin
   def init(in: Int, hidden: Int, seed: Long): MLPModel = {
     val rng = new Random(seed)
     val scale = math.sqrt(2.0 / in)
@@ -116,7 +117,6 @@ object MLP {
       in: Int,
       hidden: Int = 32,
       lr: Double = 0.01,
-      margin: Double = 1.0,
       seed: Long = 0L,
   ): MLPModel = {
     val m = init(in, hidden, seed)
@@ -144,7 +144,7 @@ object MLP {
         val dn = ha(j) - hn(j); dNeg += dn * dn
         j += 1
       }
-      if (margin + dPos - dNeg > 0) {
+      if (Margin + dPos - dNeg > 0) {
         val ga = new Array[Double](hidden)
         val gp = new Array[Double](hidden)
         val gn = new Array[Double](hidden)

@@ -30,7 +30,6 @@ object RandomForest {
       data: IndexedSeq[LabeledVector],
       numTrees: Int = 10,
       maxDepth: Int = 8,
-      minLeaf: Int = 2,
       seed: Long = 0L,
   ): RandomForest = {
     require(data.nonEmpty, "cannot fit a forest on no data")
@@ -39,7 +38,7 @@ object RandomForest {
     val trees = (0 until numTrees).map { i =>
       val rng  = new Random(seed * 7919 + i)
       val boot = IndexedSeq.fill(data.size)(data(rng.nextInt(data.size)))
-      DecisionTree.fit(boot, maxDepth, minLeaf, Some(mtry), seed = rng.nextLong())
+      DecisionTree.fit(boot, maxDepth, featuresPerSplit = Some(mtry), seed = rng.nextLong())
     }
     RandomForest(trees)
   }

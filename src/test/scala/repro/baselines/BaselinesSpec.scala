@@ -82,14 +82,14 @@ class BaselinesSpec extends SparkSpec {
   }
 
   test("MultiEMSim unsupervised matching produces a sane confusion") {
-    val conf = MultiEMSim.run(spark, ds, unsolved, seed = 1)
+    val conf = MultiEMSim.run(ds, unsolved)
     assert(conf.total == totalUnsolved)
     assert(conf.f1 > 0.4, s"F1 ${conf.f1}")
   }
 
   test("supervised text baselines outperform the unsupervised MultiEM on heterogeneous data") {
     val ditto = DittoSim.run(spark, ds, init, unsolved, epochs = 5, seed = 2)
-    val multi = MultiEMSim.run(spark, ds, unsolved, seed = 2)
+    val multi = MultiEMSim.run(ds, unsolved)
     assert(ditto.f1 >= multi.f1 - 0.02, s"ditto ${ditto.f1} vs multiEM ${multi.f1}")
   }
 }

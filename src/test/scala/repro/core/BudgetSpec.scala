@@ -76,7 +76,7 @@ class BudgetSpec extends AnyFunSuite {
 
   test("mergeSingletons absorbs singletons into the most similar host") {
     val merged = Budget.mergeSingletons(Seq(ns1, ns2, s1, s2),
-      (single, host) => if (host.id == 1) 1.0 else 0.0)
+      (_, host) => if (host.id == 1) 1.0 else 0.0)
     assert(merged.size == 2)
     val host = merged.find(_.id == 1).get
     assert(host.problemIds.toSet == Set("d", "e", "f", "g"))

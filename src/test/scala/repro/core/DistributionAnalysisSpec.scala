@@ -26,7 +26,8 @@ class DistributionAnalysisSpec extends SparkSpec {
   }
 
   test("the cdf kept by a histogram equals the per-call formula, bit for bit") {
-    // The formula every KS and WD comparison used to evaluate.
+    // The formulas every KS and WD (cdf) and PSI (props) comparison used to
+    // evaluate.
     def perCall(h: FeatureHistogram): Array[Double] = {
       val out = new Array[Double](h.bins.length)
       var acc = 0.0
@@ -34,21 +35,25 @@ class DistributionAnalysisSpec extends SparkSpec {
       while (i < h.bins.length) { acc += h.bins(i); out(i) = if (h.total > 0) acc / h.total else 0.0; i += 1 }
       out
     }
+    def propsPerCall(h: FeatureHistogram): Array[Double] =
+      h.bins.map(c => math.max(if (h.total > 0) c.toDouble / h.total else 0.0, 1e-4))
+    def bits(xs: Array[Double]) = xs.map(java.lang.Double.doubleToRawLongBits).toSeq
     val ds = TestData.camera
     val real = DistributionAnalysis.histograms(ds.pairs, ds.numFeatures).values.flatten
     for (h <- real ++ Seq(uniform4, pointLow, pointHigh, hist("e", Array(0L, 0L, 0L, 0L)))) {
-      assert(h.cdf.map(java.lang.Double.doubleToRawLongBits).toSeq ==
-        perCall(h).map(java.lang.Double.doubleToRawLongBits).toSeq, s"${h.problemId} feature ${h.feature}")
+      assert(bits(h.cdf) == bits(perCall(h)), s"${h.problemId} feature ${h.feature}")
       assert(h.cdf eq h.cdf)
+      assert(bits(h.props) == bits(propsPerCall(h)), s"${h.problemId} feature ${h.feature}")
+      assert(h.props eq h.props)
     }
   }
 
   test("props are smoothed away from zero") {
-    assert(pointLow.props().forall(_ >= 1e-4))
+    assert(pointLow.props.forall(_ >= 1e-4))
   }
 
   test("props sum to ~1 for well-populated histograms") {
-    assert(math.abs(uniform4.props().sum - 1.0) < 1e-2)
+    assert(math.abs(uniform4.props.sum - 1.0) < 1e-2)
   }
 
   // --------------------------------------------------------------- tests

@@ -127,6 +127,10 @@ class ModelRepositorySpec extends SparkSpec {
   test("fit with empty training yields an always-nonmatch model") {
     val cm = ModelRepository.fit(0, IndexedSeq.empty, 4, fitCfg)
     assert(cm.model.predict(Array(1.0, 1.0, 1.0, 1.0)) == 0)
+    // The summary of no vectors: every feature is empty.
+    assert(cm.hist.map(_.feature) == (0 until 4))
+    for (h <- cm.hist)
+      assert(h.total == 0 && h.mean == 0.0 && h.std == 0.0 && h.cdf.forall(_ == 0.0), s"feature ${h.feature}")
   }
 
   test("fit histograms summarize exactly the training vectors") {

@@ -67,7 +67,7 @@ class BlockingSpec extends SparkSpec {
   test("candidate pairs agree on the blocking key (oracle join-count check)") {
     val cfg = TestData.tinyCameraConfig()
     val recs = MultiSourceGen.records(spark, cfg)
-    val pairs = Blocking.candidatePairs(spark, recs, cfg)
+    val pairs = Blocking.candidatePairs(recs, cfg)
 
     // cross-source pair count per problem must equal DuckDB's key-join count
     val sparkCounts = pairs.filter(col("srcA") =!= col("srcB"))
@@ -86,8 +86,8 @@ class BlockingSpec extends SparkSpec {
   test("within-source pairs appear only with selfProblems enabled") {
     val cfg = TestData.tinyCameraConfig()
     val recs = MultiSourceGen.records(spark, cfg)
-    val withSelf = Blocking.candidatePairs(spark, recs, cfg)
-    val noSelf = Blocking.candidatePairs(spark, recs, cfg.copy(selfProblems = false))
+    val withSelf = Blocking.candidatePairs(recs, cfg)
+    val noSelf = Blocking.candidatePairs(recs, cfg.copy(selfProblems = false))
     assert(withSelf.filter(col("srcA") === col("srcB")).count() > 0)
     assert(noSelf.filter(col("srcA") === col("srcB")).count() == 0)
   }
@@ -96,14 +96,14 @@ class BlockingSpec extends SparkSpec {
     val cfg = TestData.tinyCameraConfig()
     val recs = MultiSourceGen.records(spark, cfg)
       .withColumn("block", when(col("recId") % 2 === 0, lit("")).otherwise(col("block")))
-    val pairs = Blocking.candidatePairs(spark, recs, cfg)
+    val pairs = Blocking.candidatePairs(recs, cfg)
     assert(pairs.filter(col("recA") % 2 === 0 || col("recB") % 2 === 0).count() == 0)
   }
 
   test("split equality is enforced for split corpora") {
     val cfg = TestData.tinyMusicConfig()
     val recs = MultiSourceGen.records(spark, cfg)
-    val pairs = Blocking.candidatePairs(spark, recs, cfg)
+    val pairs = Blocking.candidatePairs(recs, cfg)
     val splits = recs.select("recId", "split").collect().map(r => r.getLong(0) -> r.getString(1)).toMap
     val bad = pairs.select("recA", "recB").collect().count { r =>
       splits(r.getLong(0)) != splits(r.getLong(1))
@@ -123,7 +123,7 @@ class BlockingSpec extends SparkSpec {
   test("blocking recall: most co-present matches survive blocking") {
     val cfg = TestData.tinyCameraConfig()
     val recs = MultiSourceGen.records(spark, cfg).cache()
-    val pairs = Blocking.candidatePairs(spark, recs, cfg)
+    val pairs = Blocking.candidatePairs(recs, cfg)
     // upper bound of matches: co-present entity record pairs across sources
     val a = recs.select(col("source") as "sa", col("entityId") as "ea", col("recId") as "ra")
     val b = recs.select(col("source") as "sb", col("entityId") as "eb", col("recId") as "rb")

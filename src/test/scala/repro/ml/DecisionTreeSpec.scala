@@ -41,9 +41,13 @@ class DecisionTreeSpec extends AnyFunSuite {
   }
 
   test("maxDepth bounds the tree depth") {
+    def depth(t: TreeNode): Int = t match {
+      case Leaf(_)           => 1
+      case Split(_, _, l, r) => 1 + math.max(depth(l), depth(r))
+    }
     val d = sep(500, seed = 2)
     for (md <- 1 to 5)
-      assert(DecisionTree.fit(d, maxDepth = md).depth <= md + 1)
+      assert(depth(DecisionTree.fit(d, maxDepth = md)) <= md + 1)
   }
 
   test("minLeaf prevents splits below the leaf size") {
@@ -98,7 +102,7 @@ class DecisionTreeSpec extends AnyFunSuite {
 
   test("noisy labels still yield majority-consistent predictions") {
     val rng = new Random(7)
-    val d = IndexedSeq.tabulate(400) { i =>
+    val d = IndexedSeq.tabulate(400) { _ =>
       val x = rng.nextDouble()
       val noisy = rng.nextDouble() < 0.05
       LabeledVector(Array(x), if ((x > 0.5) ^ noisy) 1 else 0)
