@@ -39,7 +39,7 @@ object Table2Stats {
   */
 object JobSpark {
   def session(name: String): SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.SparkSession
-import repro.al.{ALConfig, AlmserAL}
+import repro.al.{ALConfig, ActiveLearner, AlmserAL}
 import repro.core.ModelRepository
 import repro.erdata.ERDataset
 import repro.eval.Metrics.Confusion
@@ -24,8 +24,8 @@ object AlmserStandalone {
       alCfg: ALConfig = ALConfig(),
       seed: Long = 7,
   ): Confusion = {
-    // AlmserAL.select collects its pool once, so the pool is not cached.
-    val pool = ds.pairsOf(trainIds).select("problemId", "recA", "recB", "features", "label")
+    // One job collects the pool; AlmserAL.select reads it from the driver.
+    val pool = ActiveLearner.poolFrame(spark, ds.poolOf(trainIds))
     val selected = AlmserAL.select(spark, pool, budget, alCfg, Map.empty, seed)
     val train = selected.map(v => LabeledVector(v.features, v.oracleLabel))
     val model = RandomForest.fit(train, numTrees = 10, maxDepth = 8, seed = seed)

@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.SparkSession
 import repro.erdata.ERDataset
 import repro.eval.Metrics.Confusion
 import repro.ml.TextFeatures
@@ -18,7 +17,6 @@ object AnyMatchSim {
   val DefaultSample = 5000
 
   def run(
-      spark: SparkSession,
       ds: ERDataset,
       trainIds: Seq[String],
       testIds: Seq[String],
@@ -26,6 +24,6 @@ object AnyMatchSim {
       epochs: Int = 15,
       seed: Long = 7,
   ): Confusion =
-    BaselineUtil.textPairClassifier(spark, ds, trainIds, testIds,
+    BaselineUtil.textPairClassifier(ds, trainIds, testIds,
       terms = TextFeatures.charNGrams(_), fraction = 1.0, cap = sampleSize, epochs = epochs, seed = seed)
 }

@@ -1,16 +1,17 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.erdata.ERDataset
-import repro.eval.Metrics
+import scala.collection.mutable
+import repro.erdata.{ERDataset, PartitionJob}
 import repro.eval.Metrics.Confusion
 import repro.ml.{MLP, TextFeatures}
 
 /** Shared plumbing for the baseline simulators: record-pair text
   * serialization (the "COL val" style input of the language-model
-  * methods, reduced to token streams), scoring text pairs, and the one
-  * supervised text-pair classifier that Ditto and AnyMatch configure.
+  * methods, reduced to token streams), the one scoring pass over text
+  * pairs, and the one supervised text-pair classifier that Ditto and
+  * AnyMatch configure.
   */
 object BaselineUtil {
   /** Per-record dense hash dims of the text-pair classifier (pair input = 2·Dim). */
@@ -28,16 +29,26 @@ object BaselineUtil {
       side("a") as "aText", side("b") as "bText", col("label"))
   }
 
-  /** The text pairs of `pairs` with a `score` column = score(aText, bText).
-    * `score` runs on the executors, so it must be a serializable function
-    * value (not a method of a non-serializable object).
+  /** `score(aText, bText)` and the label of every text pair of the
+    * problems `ids`, in `pairsOf` order: one shuffle-free `PartitionJob`
+    * pass over the planned rows of `textPairs(ds.pairsOf(ids))`. `score`
+    * runs on the executors, so it must be a serializable function value
+    * (not a method of a non-serializable object); what it captures, such
+    * as a fitted model, ships with the job.
     */
-  def scoreText(pairs: DataFrame, score: (String, String) => Double): DataFrame =
-    textPairs(pairs).withColumn("score", udf(score).apply(col("aText"), col("bText")))
-
-  /** Pooled confusion of predicting a match where `score` ≥ `threshold`. */
-  def confusionAt(scored: DataFrame, threshold: Double): Confusion =
-    Metrics.confusion(scored.withColumn("pred", (col("score") >= threshold).cast("int")))
+  def textScores(ds: ERDataset, ids: Seq[String], score: (String, String) => Double): (Array[Double], Array[Int]) = {
+    val rows = textPairs(ds.pairsOf(ids)).select("aText", "bText", "label").queryExecution.toRdd
+    val parts = PartitionJob.run(rows) { it =>
+      val scores = mutable.ArrayBuilder.make[Double]
+      val labels = mutable.ArrayBuilder.make[Int]
+      it.foreach { r =>
+        scores += score(r.getUTF8String(0).toString, r.getUTF8String(1).toString)
+        labels += r.getInt(2)
+      }
+      (scores.result(), labels.result())
+    }
+    (parts.flatMap(_._1), parts.flatMap(_._2))
+  }
 
   /** The supervised text-pair classifier behind Ditto and AnyMatch: each
     * record's text becomes `terms`, hashed densely into `Dim` dims; a pair
@@ -46,7 +57,6 @@ object BaselineUtil {
     * `cap` pairs, and evaluated on the pairs of `testIds`.
     */
   def textPairClassifier(
-      spark: SparkSession,
       ds: ERDataset,
       trainIds: Seq[String],
       testIds: Seq[String],
@@ -68,7 +78,7 @@ object BaselineUtil {
     val ys = rows.map(_.getAs[Int]("label")).toIndexedSeq
     val model = MLP.fitClassifier(xs, ys, hidden = Hidden, epochs = epochs, lr = 0.1, seed = seed)
 
-    val bModel = spark.sparkContext.broadcast(model)
-    confusionAt(scoreText(ds.pairsOf(testIds), (a, b) => bModel.value.predictProb(pairFeatures(a, b))), 0.5)
+    val (scores, labels) = textScores(ds, testIds, (a, b) => model.predictProb(pairFeatures(a, b)))
+    Confusion.at(scores, labels, 0.5)
   }
 }

@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.SparkSession
 import repro.erdata.ERDataset
 import repro.eval.Metrics.Confusion
 import repro.ml.TextFeatures
@@ -22,7 +21,6 @@ object DittoSim {
     * `testIds`. Returns the pooled confusion on the test pairs.
     */
   def run(
-      spark: SparkSession,
       ds: ERDataset,
       trainIds: Seq[String],
       testIds: Seq[String],
@@ -30,6 +28,6 @@ object DittoSim {
       epochs: Int = 10,
       seed: Long = 7,
   ): Confusion =
-    BaselineUtil.textPairClassifier(spark, ds, trainIds, testIds,
+    BaselineUtil.textPairClassifier(ds, trainIds, testIds,
       terms = TextFeatures.tokens, fraction = trainFraction, cap = TrainCap, epochs = epochs, seed = seed)
 }

@@ -1,6 +1,7 @@
 package repro.baselines
 
 import repro.erdata.ERDataset
+import repro.eval.Metrics
 import repro.eval.Metrics.Confusion
 import repro.ml.TextFeatures
 
@@ -9,10 +10,11 @@ import repro.ml.TextFeatures
   * source merging. Substitution (DESIGN.md §3): hashed bag-of-token
   * embeddings with plain cosine similarity, the decision threshold m
   * grid-searched and — as in the paper's own protocol — the best test
-  * configuration reported. No training phase, so it is the fastest
-  * method; a single global threshold over heterogeneous sources is also
-  * why it trails the supervised methods on Dexter/WDC. Nothing is drawn
-  * at random.
+  * configuration reported: the test pairs are scored in one pass and
+  * every grid threshold is counted on the driver. No training phase, so
+  * it is the fastest method; a single global threshold over
+  * heterogeneous sources is also why it trails the supervised methods on
+  * Dexter/WDC. Nothing is drawn at random.
   */
 object MultiEMSim {
   val Dim = 1 << 13
@@ -24,8 +26,7 @@ object MultiEMSim {
       val (ib, vb) = TextFeatures.hashed(TextFeatures.tokens(bText), Dim)
       TextFeatures.cosine(ia, va, ib, vb)
     }
-    val scored = BaselineUtil.scoreText(ds.pairsOf(testIds), sim).cache()
-    try Grid.map(t => BaselineUtil.confusionAt(scored, t)).maxBy(_.f1)
-    finally scored.unpersist()
+    val (scores, labels) = BaselineUtil.textScores(ds, testIds, sim)
+    Confusion.at(scores, labels, Metrics.bestThreshold(Grid, scores, labels))
   }
 }

@@ -1,9 +1,9 @@
 package repro.baselines
 
-import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import scala.util.Random
 import repro.erdata.ERDataset
+import repro.eval.Metrics
 import repro.eval.Metrics.Confusion
 import repro.ml.{MLP, TextFeatures}
 
@@ -23,9 +23,10 @@ object SudowoodoSim {
   val Dim = 256
   val Hidden = 48
   val DefaultEpochs = 40
+  /** The head's threshold grid: 0.05 steps over (-1, 1). */
+  val Grid: Seq[Double] = (-19 to 19).map(_ * 0.05)
 
   def run(
-      spark: SparkSession,
       ds: ERDataset,
       trainIds: Seq[String],
       testIds: Seq[String],
@@ -60,34 +61,26 @@ object SudowoodoSim {
 
     // 3. Semi-supervised head: spend the labeling budget on solved-task
     //    pairs and fit the F1-optimal embedding-cosine threshold.
-    val bEnc = spark.sparkContext.broadcast(encoder)
     val sim = (aText: String, bText: String) => {
-      val ea = bEnc.value.embed(TextFeatures.denseHashed(TextFeatures.tokens(aText), Dim))
-      val eb = bEnc.value.embed(TextFeatures.denseHashed(TextFeatures.tokens(bText), Dim))
+      val ea = encoder.embed(TextFeatures.denseHashed(TextFeatures.tokens(aText), Dim))
+      val eb = encoder.embed(TextFeatures.denseHashed(TextFeatures.tokens(bText), Dim))
       TextFeatures.denseCosine(ea, eb)
     }
 
-    val labeledSample = BaselineUtil.scoreText(
+    val labeledSample = BaselineUtil.textPairs(
         ds.pairsOf(trainIds)
           .withColumn("r", abs(hash(col("recA"), col("recB"), lit(seed))))
-          .orderBy("r").limit(budget),
-        sim)
-      .select("score", "label").collect()
-      .map(r => (r.getDouble(0), r.getInt(1)))
+          .orderBy("r").limit(budget))
+      .select("aText", "bText", "label").collect()
+    val t = threshold(labeledSample.map(r => sim(r.getString(0), r.getString(1))), labeledSample.map(_.getInt(2)))
 
-    BaselineUtil.confusionAt(BaselineUtil.scoreText(ds.pairsOf(testIds), sim),
-      bestThreshold(labeledSample))
+    val (scores, labels) = BaselineUtil.textScores(ds, testIds, sim)
+    Confusion.at(scores, labels, t)
   }
 
-  /** F1-optimal threshold over (sim, label) samples (0.05 grid over [-1,1]). */
-  private[baselines] def bestThreshold(samples: Seq[(Double, Int)]): Double = {
-    if (samples.isEmpty) return 0.5
-    val cands = (-19 to 19).map(_ * 0.05)
-    cands.maxBy { t =>
-      val tp = samples.count { case (s, l) => s >= t && l == 1 }
-      val fp = samples.count { case (s, l) => s >= t && l == 0 }
-      val fn = samples.count { case (s, l) => s < t && l == 1 }
-      if (tp == 0) 0.0 else 2.0 * tp / (2.0 * tp + fp + fn)
-    }
-  }
+  /** The F1-optimal threshold of `Grid` over a labeled sample's
+    * similarities and labels; 0.5 for an empty sample.
+    */
+  private[baselines] def threshold(sims: Array[Double], labels: Array[Int]): Double =
+    if (labels.isEmpty) 0.5 else Metrics.bestThreshold(Grid, sims, labels)
 }

@@ -144,7 +144,9 @@ object DistributionAnalysis {
     val parts = PartitionJob.run(pairs.select("problemId", "features").queryExecution.toRdd) { rows =>
       val byProblem = mutable.HashMap.empty[UTF8String, Moments]
       rows.foreach { r =>
-        val m = byProblem.getOrElseUpdate(r.getUTF8String(0).clone(), new Moments(numFeatures, numBins))
+        // The id points into the row's reused buffer: a new key keeps a copy.
+        val pid = r.getUTF8String(0)
+        val m = byProblem.getOrElse(pid, { val fresh = new Moments(numFeatures, numBins); byProblem(pid.clone()) = fresh; fresh })
         val xs = r.getArray(1)
         val n = math.min(xs.numElements(), numFeatures)
         var f = 0

@@ -113,19 +113,19 @@ object Experiments {
       (TransER.run(spark, b.ds, b.initIds, b.unsolvedIds, fraction, seed = seed).f1, 0)
     }
 
-  def runDitto(spark: SparkSession, b: Bundle, fraction: Double, seed: Long = 7): RunResult =
+  def runDitto(b: Bundle, fraction: Double, seed: Long = 7): RunResult =
     timedRun(s"Ditto-${fractionTag(fraction)}", b, 0) {
-      (DittoSim.run(spark, b.ds, b.initIds, b.unsolvedIds, fraction, seed = seed).f1, 0)
+      (DittoSim.run(b.ds, b.initIds, b.unsolvedIds, fraction, seed = seed).f1, 0)
     }
 
-  def runSudowoodo(spark: SparkSession, b: Bundle, budget: Int, seed: Long = 7): RunResult =
+  def runSudowoodo(b: Bundle, budget: Int, seed: Long = 7): RunResult =
     timedRun("Sudowoodo", b, budget) {
-      (SudowoodoSim.run(spark, b.ds, b.initIds, b.unsolvedIds, budget, seed = seed).f1, budget)
+      (SudowoodoSim.run(b.ds, b.initIds, b.unsolvedIds, budget, seed = seed).f1, budget)
     }
 
-  def runAnyMatch(spark: SparkSession, b: Bundle, seed: Long = 7): RunResult =
+  def runAnyMatch(b: Bundle, seed: Long = 7): RunResult =
     timedRun("AnyMatch", b, 0) {
-      (AnyMatchSim.run(spark, b.ds, b.initIds, b.unsolvedIds, seed = seed).f1, AnyMatchSim.DefaultSample)
+      (AnyMatchSim.run(b.ds, b.initIds, b.unsolvedIds, seed = seed).f1, AnyMatchSim.DefaultSample)
     }
 
   def runMultiEM(b: Bundle): RunResult =
@@ -171,9 +171,9 @@ object Experiments {
       val almser = budgets.map(budget => runAlmserStandalone(spark, b, budget, seed))
       val others = Seq(
         runTransER(spark, b, 1.0, seed), runTransER(spark, b, 0.5, seed),
-        runDitto(spark, b, 1.0, seed), runDitto(spark, b, 0.5, seed),
-        runSudowoodo(spark, b, budgets.head, seed),
-        runAnyMatch(spark, b, seed),
+        runDitto(b, 1.0, seed), runDitto(b, 0.5, seed),
+        runSudowoodo(b, budgets.head, seed),
+        runAnyMatch(b, seed),
         runMultiEM(b))
       unload(b)
       morer ++ almser ++ others

@@ -1,10 +1,9 @@
 package repro.eval
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-
-/** Linkage-quality metrics over prediction DataFrames (columns `label`
-  * and `pred`, both 0/1), computed with one aggregation pass.
+/** Linkage-quality metrics: the `Confusion` every method reports, counted
+  * on the driver (`ModelRepository.confusion` adds per-partition counts;
+  * the text baselines count their scores with `Confusion.at`), and the
+  * F1-best threshold on a grid.
   */
 object Metrics {
 
@@ -18,19 +17,29 @@ object Metrics {
     }
     def total: Long = tp + fp + fn + tn
   }
-  object Confusion { val empty: Confusion = Confusion(0, 0, 0, 0) }
+  object Confusion {
+    val empty: Confusion = Confusion(0, 0, 0, 0)
 
-  /** Confusion counts of a prediction DataFrame. */
-  def confusion(df: DataFrame): Confusion = {
-    val r = df.agg(
-      sum(when(col("label") === 1 && col("pred") === 1, 1).otherwise(0)) as "tp",
-      sum(when(col("label") === 0 && col("pred") === 1, 1).otherwise(0)) as "fp",
-      sum(when(col("label") === 1 && col("pred") === 0, 1).otherwise(0)) as "fn",
-      sum(when(col("label") === 0 && col("pred") === 0, 1).otherwise(0)) as "tn",
-    ).collect()(0)
-    def g(i: Int): Long = if (r.isNullAt(i)) 0L else r.getLong(i)
-    Confusion(g(0), g(1), g(2), g(3))
+    /** Confusion of predicting a match where `scores(i)` ≥ `threshold`,
+      * against the 0/1 `labels(i)`.
+      */
+    def at(scores: Array[Double], labels: Array[Int], threshold: Double): Confusion = {
+      var tp, fp, fn, tn = 0L
+      var i = 0
+      while (i < scores.length) {
+        if (scores(i) >= threshold) { if (labels(i) == 1) tp += 1 else fp += 1 }
+        else if (labels(i) == 1) fn += 1 else tn += 1
+        i += 1
+      }
+      Confusion(tp, fp, fn, tn)
+    }
   }
+
+  /** The threshold of `grid` whose `Confusion.at` has the largest F1, the
+    * first in grid order on a tie.
+    */
+  def bestThreshold(grid: Seq[Double], scores: Array[Double], labels: Array[Int]): Double =
+    grid.maxBy(t => Confusion.at(scores, labels, t).f1)
 
   /** Sample mean and (population) standard deviation. */
   def meanStd(xs: Seq[Double]): (Double, Double) = {

@@ -56,7 +56,7 @@ class ModelRepositorySpec extends SparkSpec {
     def reference(ids: Seq[String], models: Map[String, RandomForest]) = {
       val b = spark.sparkContext.broadcast(models)
       val pred = udf((pid: String, f: Seq[Double]) => b.value.get(pid).map(_.predict(f.toArray)).getOrElse(0))
-      repro.eval.Metrics.confusion(ds.pairsOf(ids).withColumn("pred", pred(col("problemId"), col("features"))))
+      repro.eval.SqlConfusion.of(ds.pairsOf(ids).withColumn("pred", pred(col("problemId"), col("features"))))
     }
     val idSets = Seq("all ids" -> pids, "no ids" -> Nil,
       "a strict subset" -> pids.zipWithIndex.collect { case (p, i) if i % 2 == 1 => p })
