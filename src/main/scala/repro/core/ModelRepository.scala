@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.unsafe.types.UTF8String
 import scala.annotation.unused
 import scala.collection.mutable
 import repro.erdata.{ERDataset, PartitionJob}
@@ -55,23 +54,26 @@ object ModelRepository {
     * predicts non-match. This is the repository applied over partitioned
     * record pairs (sel_base, sel_cov and the one-model baselines): one
     * shuffle-free Spark job, run by `PartitionJob.run` directly on the
-    * dataset's planned-once scan (`ERDataset.pairRows`), skips the rows of
-    * other problems, decodes the features of the rows it keeps, scores
-    * them with the broadcast models and counts each partition, and the
-    * driver adds the counts in partition order.
+    * dataset's checkpointed blocks (`ERDataset.pairRows`), skips the runs
+    * of other problems, scores the rest with the models the job's closure
+    * carries and counts each partition, and the driver adds the counts in
+    * partition order. `spark` is unused: the job runs on `ds.pairRows`.
     */
-  def confusion(spark: SparkSession, ds: ERDataset, ids: Seq[String], models: Map[String, RandomForest]): Confusion = {
-    // Keyed by the rows' own encoding, so a row is routed without decoding
-    // its problem id; None marks a wanted problem without a model.
-    val b = spark.sparkContext.broadcast(ids.map(id => UTF8String.fromString(id) -> models.get(id)).toMap)
-    try {
-      PartitionJob.run(ds.pairRows) { rows =>
-        val route = b.value
-        var tp, fp, fn, tn = 0L
-        rows.foreach { r =>
-          route.get(r.getUTF8String(0)).foreach { model =>
-            val pred = model.fold(0)(_.predict(r.getArray(3).toDoubleArray()))
-            (r.getInt(4), pred) match {
+  def confusion(
+      @unused spark: SparkSession,
+      ds: ERDataset,
+      ids: Seq[String],
+      models: Map[String, RandomForest],
+  ): Confusion = {
+    // None marks a wanted problem without a model.
+    val route = ids.map(id => id -> models.get(id)).toMap
+    PartitionJob.run(ds.pairRows) { blocks =>
+      var tp, fp, fn, tn = 0L
+      blocks.foreach(b => b.runs.foreach { case (pid, rows) =>
+        route.get(pid).foreach { model =>
+          rows.foreach { i =>
+            val pred = model.fold(0)(_.predict(b.featuresOf(i)))
+            (b.label(i), pred) match {
               case (1, 1) => tp += 1
               case (0, 1) => fp += 1
               case (1, _) => fn += 1
@@ -79,9 +81,9 @@ object ModelRepository {
             }
           }
         }
-        Confusion(tp, fp, fn, tn)
-      }.foldLeft(Confusion.empty)(_ + _)
-    } finally b.destroy()
+      })
+      Confusion(tp, fp, fn, tn)
+    }.foldLeft(Confusion.empty)(_ + _)
   }
 
   /** IDF-style record-uniqueness scores s_r (Eqs. 11–12): for every

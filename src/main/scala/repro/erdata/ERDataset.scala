@@ -6,6 +6,7 @@ import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions.col
 import org.apache.spark.unsafe.types.UTF8String
 import repro.ml.PoolVector
+import scala.collection.mutable
 
 /** How one similarity feature of a record pair is computed.
   *
@@ -43,7 +44,9 @@ final case class ERProblem(id: String, srcA: Int, srcB: Int, split: String)
   *
   * A caller caches `pairs` before the first pass over `pairRows` (a
   * `poolOf` or a `ModelRepository.confusion` call): `pairRows` is planned
-  * once, then, and scans whatever `pairs` resolved to at that moment.
+  * once, then, and its blocks hold whatever `pairs` resolved to at that
+  * moment. Later passes read only the blocks, so they keep working after
+  * `pairs` is unpersisted.
   */
 final case class ERDataset(
     name: String,
@@ -58,28 +61,35 @@ final case class ERDataset(
   /** The candidate pairs of the problems `ids`. */
   def pairsOf(ids: Seq[String]): DataFrame = pairs.filter(col("problemId").isin(ids: _*))
 
-  /** (problemId, recA, recB, features, label) of every pair, as the rows
-    * of one scan of `pairs`, planned on first use. Pool draws and scoring
-    * submit their jobs over this RDD itself (`PartitionJob.run`), without
-    * planning a query or building an RDD per call.
+  /** The pairs as one `PairBlock` per partition of `pairs`, in partition
+    * order: the blocks that pool draws and scoring read. They are built by
+    * one scan of `pairs`, planned on first use, and checkpointed locally:
+    * the first pass computes and stores them, and cuts them from the plan
+    * that made them, so each later job ships only this RDD and its
+    * function (about 4 KB, not the plan's 95 KB) and reads primitive
+    * arrays. A lost executor loses the blocks with no lineage to rebuild
+    * them from; the session is `local[*]`, whose only executor is the
+    * driver.
     */
-  @transient lazy val pairRows: RDD[InternalRow] =
+  @transient lazy val pairRows: RDD[PairBlock] = {
+    val width = numFeatures
     pairs.select("problemId", "recA", "recB", "features", "label").queryExecution.toRdd
+      .mapPartitions(rows => Iterator(PairBlock.of(rows, width)))
+      .localCheckpoint()
+  }
 
   /** The pairs of the problems `ids` as driver-held pool vectors, in the
     * table's order: the rows of `pairsOf(ids).collect()`. One shuffle-free
     * Spark job, run directly on `pairRows` by `PartitionJob.run`, skips the
-    * rows of other problems, by their encoded id, and decodes the rest.
+    * runs of other problems and reads the rest.
     */
   def poolOf(ids: Seq[String]): IndexedSeq[PoolVector] = {
-    val b = pairs.sparkSession.sparkContext.broadcast(ids.map(UTF8String.fromString).toSet)
-    try {
-      PartitionJob.run(pairRows) { rows =>
-        val wanted = b.value
-        rows.filter(r => wanted(r.getUTF8String(0))).map(r => PoolVector(
-          r.getUTF8String(0).toString, r.getLong(1), r.getLong(2), r.getArray(3).toDoubleArray(), r.getInt(4))).toArray
-      }.iterator.flatten.toIndexedSeq
-    } finally b.destroy()
+    val wanted = ids.toSet
+    PartitionJob.run(pairRows)(_.flatMap { b =>
+      b.runs.filter(run => wanted(run._1)).flatMap { case (pid, rows) =>
+        rows.iterator.map(i => PoolVector(pid, b.recA(i), b.recB(i), b.featuresOf(i), b.label(i)))
+      }
+    }.toArray).iterator.flatten.toIndexedSeq
   }
 }
 
@@ -91,4 +101,60 @@ object ERDataset {
     */
   def sampleUpTo(rows: DataFrame, n: Long, cap: Int, seed: Long): DataFrame =
     if (n <= cap) rows else rows.sample(withReplacement = false, cap.toDouble / n, seed)
+}
+
+/** The pairs of one partition of `ERDataset.pairs`, column by column, in
+  * the partition's row order. Row i is (`recA(i)`, `recB(i)`,
+  * `featuresOf(i)`, `label(i)`). The rows come in runs of one problem:
+  * run k is rows `runStart(k) until runStart(k + 1)` of problem
+  * `runId(k)`. The table is sorted by problem within a partition, so a
+  * problem has one run there, but a reader must not rely on it.
+  */
+final class PairBlock(
+    val runId: Array[String],
+    val runStart: Array[Int],
+    val recA: Array[Long],
+    val recB: Array[Long],
+    val width: Int,
+    /** Row-major: row i's features are `width` values from `i * width`. */
+    val features: Array[Double],
+    val label: Array[Int],
+) extends Serializable {
+
+  /** Each run's problem id and rows, in row order. */
+  def runs: Iterator[(String, Range)] =
+    runId.indices.iterator.map(k => (runId(k), runStart(k) until runStart(k + 1)))
+
+  /** Row i's features, copied. */
+  def featuresOf(i: Int): Array[Double] = java.util.Arrays.copyOfRange(features, i * width, (i + 1) * width)
+}
+
+object PairBlock {
+
+  /** The block of `rows`, each (problemId, recA, recB, features, label)
+    * with `width` features.
+    */
+  def of(rows: Iterator[InternalRow], width: Int): PairBlock = {
+    val runId = Array.newBuilder[String]
+    val runStart, label = new mutable.ArrayBuilder.ofInt
+    val recA, recB = new mutable.ArrayBuilder.ofLong
+    val features = new mutable.ArrayBuilder.ofDouble
+    // The id points into the row's reused buffer: a run keeps a copy.
+    var prev: UTF8String = null
+    var n = 0
+    rows.foreach { r =>
+      val pid = r.getUTF8String(0)
+      if (pid != prev) { prev = pid.clone(); runId += prev.toString; runStart += n }
+      recA += r.getLong(1)
+      recB += r.getLong(2)
+      val xs = r.getArray(3)
+      require(xs.numElements() == width, s"pair of $pid has ${xs.numElements()} features, expected $width")
+      var f = 0
+      while (f < width) { features += xs.getDouble(f); f += 1 }
+      label += r.getInt(4)
+      n += 1
+    }
+    runStart += n
+    new PairBlock(runId.result(), runStart.result(), recA.result(), recB.result(), width, features.result(), label.result())
+  }
 }

@@ -3,7 +3,7 @@ package repro.ml
 import scala.util.Random
 
 /** A fitted CART node. Serializable so whole trees/forests can be
-  * broadcast to executors and evaluated inside Spark tasks.
+  * shipped to executors and evaluated inside Spark tasks.
   */
 sealed trait TreeNode extends Serializable {
   /** Probability of the positive class for this feature vector. */

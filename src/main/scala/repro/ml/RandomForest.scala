@@ -6,8 +6,8 @@ import scala.util.Random
   * repository (the paper uses scikit-learn classifiers; random forests
   * are the standard choice in the Almser/MoRER line of work).
   *
-  * The fitted forest is a plain serializable case class so it can be
-  * broadcast to the Spark tasks that score record pairs
+  * The fitted forest is a plain serializable case class so it can travel
+  * in the closure of the Spark tasks that score record pairs
   * (`ModelRepository.confusion`).
   */
 final case class RandomForest(trees: IndexedSeq[TreeNode]) extends Serializable {

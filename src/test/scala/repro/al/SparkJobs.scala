@@ -19,9 +19,9 @@ object SparkJobs {
 
   /** Runs `body` under a fresh job group and returns, for each job that
     * group started, in order, the id of the RDD the job runs on: the
-    * newest RDD of its result stage (an RDD's id is larger than those of
-    * the RDDs it is built on, and the result stage is the job's last).
-    * A job over no partitions has no stage and reads -1.
+    * RDD of its result stage (the job's last stage), which is the first
+    * RDD the stage lists. A job over no partitions has no stage and reads
+    * -1.
     */
   def rdds(spark: SparkSession)(body: => Unit): Seq[Int] = {
     val (counted, events) = observe(spark)(body)
@@ -54,7 +54,7 @@ object SparkJobs {
     val events = new ConcurrentLinkedQueue[Event]
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = {
-        val rdd = e.stageInfos.maxByOption(_.stageId).fold(-1)(_.rddInfos.map(_.id).max)
+        val rdd = e.stageInfos.maxByOption(_.stageId).fold(-1)(_.rddInfos.head.id)
         Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id")))
           .foreach(group => events.add(Job(group, rdd)))
       }
