@@ -29,6 +29,6 @@ object AlmserStandalone {
     val selected = AlmserAL.select(spark, pool, budget, alCfg, Map.empty, seed)
     val train = selected.map(v => LabeledVector(v.features, v.oracleLabel))
     val model = RandomForest.fit(train, numTrees = 10, maxDepth = 8, seed = seed)
-    ModelRepository.confusion(spark, ds, testIds, testIds.map(_ -> model).toMap)
+    ModelRepository.confusion(ds, testIds, testIds.map(_ -> model).toMap)
   }
 }

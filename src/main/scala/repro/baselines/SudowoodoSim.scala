@@ -67,12 +67,11 @@ object SudowoodoSim {
       TextFeatures.denseCosine(ea, eb)
     }
 
-    val labeledSample = BaselineUtil.textPairs(
-        ds.pairsOf(trainIds)
-          .withColumn("r", abs(hash(col("recA"), col("recB"), lit(seed))))
-          .orderBy("r").limit(budget))
-      .select("aText", "bText", "label").collect()
-    val t = threshold(labeledSample.map(r => sim(r.getString(0), r.getString(1))), labeledSample.map(_.getInt(2)))
+    //    The labeled pairs are the `budget` lowest-ranked ones.
+    val labeled = ds.poolOf(trainIds)
+      .sortBy(v => (ERDataset.pairRank(v.recA, v.recB, seed), v.recA, v.recB)).take(budget)
+    val text = ds.recordText
+    val t = threshold(labeled.map(v => sim(text(v.recA), text(v.recB))).toArray, labeled.map(_.oracleLabel).toArray)
 
     val (scores, labels) = BaselineUtil.textScores(ds, testIds, sim)
     Confusion.at(scores, labels, t)

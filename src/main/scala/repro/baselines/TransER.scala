@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.core.ModelRepository
@@ -26,7 +25,6 @@ object TransER {
   val TrainCap = 20000
 
   def run(
-      spark: SparkSession,
       ds: ERDataset,
       trainIds: Seq[String],
       testIds: Seq[String],
@@ -40,20 +38,19 @@ object TransER {
       s
     }
 
-    val src0 = ds.pairsOf(trainIds)
-      .select(col("features") as "srcFeatures", col("label") as "srcLabel")
+    // Every draw keeps or orders the pairs by their rank.
+    val src0 = ds.pairsOf(trainIds).select(col("recA"), col("recB"), col("features"), col("label"),
+      ERDataset.pairRank(seed) as "rank")
     // Cap the per-bucket source population: non-match vectors concentrate
     // in the all-low bucket, and an uncapped bucket join degenerates into
     // a cross join. k nearest of a 500-vector sample ≈ k nearest of the
     // full bucket for kNN voting purposes.
-    val srcW = Window.partitionBy("bucket")
-      .orderBy(abs(hash(col("srcFeatures").cast("string"), lit(seed))))
-    val src = (if (trainFraction >= 1.0) src0
-               else src0.sample(withReplacement = false, trainFraction, seed))
-      .withColumn("bucket", bucketUdf(col("srcFeatures")))
+    val srcW = Window.partitionBy("bucket").orderBy("rank", "recA", "recB")
+    val src = (if (trainFraction >= 1.0) src0 else src0.filter(col("rank") < trainFraction))
+      .withColumn("bucket", bucketUdf(col("features")))
       .withColumn("srn", row_number().over(srcW))
       .filter(col("srn") <= 500)
-      .drop("srn")
+      .select(col("bucket"), col("features") as "srcFeatures", col("label") as "srcLabel")
 
     val tgt = ds.pairsOf(testIds)
       .select("problemId", "recA", "recB", "features", "label")
@@ -71,10 +68,12 @@ object TransER {
         when(col("conf") >= Tp, 1).when(col("conf") <= 1.0 - Tp, 0).otherwise(lit(null)))
       .filter(col("pseudo").isNotNull)
 
-    val sampled = ERDataset.sampleUpTo(votes, votes.count(), TrainCap, seed)
-    val train = sampled.collect().toIndexedSeq.map { r =>
-      LabeledVector(r.getAs[Seq[Double]]("features").toArray, r.getAs[Int]("pseudo"))
-    }
+    // About TrainCap of the n pseudo-labels: those ranked below TrainCap/n.
+    val n = votes.count()
+    val capped = if (n <= TrainCap) votes else votes.filter(ERDataset.pairRank(seed) < TrainCap.toDouble / n)
+    val train = capped.select("problemId", "recA", "recB", "features", "pseudo").collect()
+      .sortBy(r => (r.getString(0), r.getLong(1), r.getLong(2)))
+      .map(r => LabeledVector(r.getSeq[Double](3).toArray, r.getInt(4))).toIndexedSeq
 
     val model =
       if (train.isEmpty || train.map(_.label).distinct.size < 2) {
@@ -84,6 +83,6 @@ object TransER {
           LabeledVector(Array.fill(ds.numFeatures)(0.0), 0)), numTrees = 1, maxDepth = 1, seed = seed)
       } else RandomForest.fit(train, numTrees = 10, maxDepth = 8, seed = seed)
 
-    ModelRepository.confusion(spark, ds, testIds, testIds.map(_ -> model).toMap)
+    ModelRepository.confusion(ds, testIds, testIds.map(_ -> model).toMap)
   }
 }

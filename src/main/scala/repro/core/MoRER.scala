@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.unsafe.hash.Murmur3_x86_32
+import scala.annotation.unused
 import repro.al.{ALConfig, ActiveLearner, BootstrapAL}
 import repro.erdata.ERDataset
 import repro.eval.Metrics.Confusion
@@ -38,23 +38,19 @@ object ModelGen {
 
   /** Every pool vector with its gold label, sampled down to about `cap`
     * for tractability; no labels are charged against the budget. A pool
-    * of n > cap vectors keeps a vector when a hash of its pair, seeded by
-    * `cfg.seed`, falls below cap/n. The sample is returned in (recA, recB)
+    * of n > cap vectors keeps a vector when its `ERDataset.pairRank` under
+    * `cfg.seed` falls below cap/n. The sample is returned in (recA, recB)
     * order, so neither it nor the model fitted on it depends on the pair
     * table's partitions. Runs on the driver, no Spark job.
     */
   final case class Supervised(cap: Int = 20000) extends ModelGen {
     def draw(spark: SparkSession, pool: IndexedSeq[PoolVector], budget: Int, idf: => Map[Long, Double],
              seed: Long, cfg: MoRERConfig): (IndexedSeq[PoolVector], Int) = {
-      val sample = if (pool.size <= cap) pool else pool.filter(v => unitHash(v, cfg.seed) < cap.toDouble / pool.size)
+      val sample =
+        if (pool.size <= cap) pool
+        else pool.filter(v => ERDataset.pairRank(v.recA, v.recB, cfg.seed) < cap.toDouble / pool.size)
       (sample.sortBy(v => (v.recA, v.recB)), 0)
     }
-  }
-
-  /** A hash of the pair (recA, recB) under `seed`, uniform in [0, 1). */
-  private def unitHash(v: PoolVector, seed: Long): Double = {
-    val h = Murmur3_x86_32.hashLong(v.recB, Murmur3_x86_32.hashLong(v.recA, Murmur3_x86_32.hashLong(seed, 42)))
-    (h & 0xFFFFFFFFL).toDouble / 4294967296.0
   }
 }
 
@@ -221,7 +217,7 @@ object MoRER {
         repo.copy(graph = graph2, modelOf = repo.modelOf + (pid -> modelId))
     }
 
-    (ModelRepository.confusion(spark, ds, Seq(pid), Map(pid -> repo2.clusters(modelId).model)), repo2)
+    (ModelRepository.confusion(ds, Seq(pid), Map(pid -> repo2.clusters(modelId).model)), repo2)
   }
 
   /** Full run: init repository on `initIds`, solve every problem in
@@ -252,9 +248,11 @@ object MoRER {
     }
   }
 
-  /** sel_base batch classification with an explicit distribution test. */
+  /** sel_base batch classification with an explicit distribution test.
+    * `spark` is unused; it stays because `perfbench/` passes it.
+    */
   def solveBaseAllWithTest(
-      spark: SparkSession,
+      @unused spark: SparkSession,
       ds: ERDataset,
       repo: Repository,
       unsolvedIds: Seq[String],
@@ -267,6 +265,6 @@ object MoRER {
       }
     }.toMap
     val models = assignment.map { case (pid, cid) => pid -> repo.clusters(cid).model }
-    (ModelRepository.confusion(spark, ds, unsolvedIds, models), assignment)
+    (ModelRepository.confusion(ds, unsolvedIds, models), assignment)
   }
 }

@@ -57,10 +57,9 @@ object ModelRepository {
     * dataset's checkpointed blocks (`ERDataset.pairRows`), skips the runs
     * of other problems, scores the rest with the models the job's closure
     * carries and counts each partition, and the driver adds the counts in
-    * partition order. `spark` is unused: the job runs on `ds.pairRows`.
+    * partition order.
     */
   def confusion(
-      @unused spark: SparkSession,
       ds: ERDataset,
       ids: Seq[String],
       models: Map[String, RandomForest],

@@ -20,7 +20,8 @@ object Blocking {
     *
     * Output columns: problemId, srcA, srcB, split, recA, recB, entA, entB,
     * label, and raw attributes of both sides (a_a1..a_num2, b_a1..b_num2)
-    * for feature computation and for the text-serialization baselines.
+    * for feature computation; `MultiSourceGen.generate` drops them once
+    * the features exist.
     */
   def candidatePairs(records: DataFrame, cfg: GenConfig): DataFrame = {
     val a = records.filter(col("block") =!= "").alias("a")

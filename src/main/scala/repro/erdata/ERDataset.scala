@@ -1,9 +1,10 @@
 package repro.erdata
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions.{col, hash, lit, pmod}
+import org.apache.spark.unsafe.hash.Murmur3_x86_32
 import org.apache.spark.unsafe.types.UTF8String
 import repro.ml.PoolVector
 import scala.collection.mutable
@@ -37,7 +38,9 @@ final case class ERProblem(id: String, srcA: Int, srcB: Int, split: String)
   *                  a1, a2, a3, num1, num2)
   * @param pairs     blocked candidate record pairs with similarity features:
   *                  (problemId, srcA, srcB, split, recA, recB, entA, entB,
-  *                  features: array&lt;double&gt;, label)
+  *                  label, features: array&lt;double&gt;); no raw
+  *                  attributes: a pair's text is `recordText` of its two
+  *                  records
   * @param specs     the feature definitions, in `features` array order
   * @param problems  every ER problem the generator configuration implies
   *                  (a problem may have no candidate pairs in `pairs`)
@@ -47,6 +50,12 @@ final case class ERProblem(id: String, srcA: Int, srcB: Int, split: String)
   * once, then, and its blocks hold whatever `pairs` resolved to at that
   * moment. Later passes read only the blocks, so they keep working after
   * `pairs` is unpersisted.
+  *
+  * The pool collects and the scoring passes, MoRER's and the baselines',
+  * read `pairRows`; the histograms keep their own scan of `pairs`, and
+  * TransER's kNN join stays a query. Every random draw of pairs keeps or
+  * orders them by `pairRank`, so which pairs a draw picks does not depend
+  * on the partition layout.
   */
 final case class ERDataset(
     name: String,
@@ -91,16 +100,39 @@ final case class ERDataset(
       }
     }.toArray).iterator.flatten.toIndexedSeq
   }
+
+  /** Each record's text, by record id: a1, a2, a3 and the positive num1
+    * and num2 as whole numbers, joined by single spaces (an empty value
+    * keeps its place). This is the input of the text baselines; one Spark
+    * job over `records` computes it on first use.
+    */
+  @transient lazy val recordText: Map[Long, String] = {
+    def num(r: InternalRow, i: Int) = { val v = r.getDouble(i); if (v > 0) v.toInt.toString else "" }
+    val rows = records.select("recId", "a1", "a2", "a3", "num1", "num2").queryExecution.toRdd
+    PartitionJob.run(rows)(_.map { r =>
+      r.getLong(0) -> Seq(r.getUTF8String(1).toString, r.getUTF8String(2).toString, r.getUTF8String(3).toString,
+        num(r, 4), num(r, 5)).mkString(" ")
+    }.toArray).iterator.flatten.toMap
+  }
 }
 
 object ERDataset {
 
-  /** All of the `n` rows of `rows` when n ≤ cap, else a seeded Bernoulli
-    * sample of fraction cap/n (about `cap` rows). The caller supplies `n`,
-    * so a caller that already knows the size spends no job counting it.
+  /** The rank of the pair (recA, recB) under `seed`: a Murmur3 hash of
+    * the pair, uniform in [0, 1). A draw keeps the pairs ranked below its
+    * fraction, or the lowest-ranked ones, so it picks the same pairs
+    * whatever order or partitions they come in.
     */
-  def sampleUpTo(rows: DataFrame, n: Long, cap: Int, seed: Long): DataFrame =
-    if (n <= cap) rows else rows.sample(withReplacement = false, cap.toDouble / n, seed)
+  def pairRank(recA: Long, recB: Long, seed: Long): Double = {
+    val h = Murmur3_x86_32.hashLong(recB, Murmur3_x86_32.hashLong(recA, Murmur3_x86_32.hashLong(seed, 42)))
+    (h & 0xFFFFFFFFL).toDouble / 4294967296.0
+  }
+
+  /** `pairRank` of a table's `recA` and `recB` columns, in SQL: Spark's
+    * `hash` is the same Murmur3 chain with seed 42.
+    */
+  def pairRank(seed: Long): Column =
+    pmod(hash(lit(seed), col("recA"), col("recB")), lit(1L << 32)) / lit(4294967296.0)
 }
 
 /** The pairs of one partition of `ERDataset.pairs`, column by column, in

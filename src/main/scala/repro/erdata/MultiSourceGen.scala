@@ -281,11 +281,14 @@ object MultiSourceGen {
   def problemId(a: Int, b: Int, split: String, withSplit: Boolean): String =
     if (withSplit) s"p${a}_${b}_$split" else s"p${a}_$b"
 
-  /** Build the full dataset: records → blocked pairs → features. */
+  /** Build the full dataset: records → blocked pairs → features. The
+    * pair table keeps no raw attributes once the features exist.
+    */
   def generate(spark: SparkSession, cfg: GenConfig): ERDataset = {
     val recs  = records(spark, cfg)
     val pairs = Blocking.candidatePairs(recs, cfg)
     val withF = repro.core.FeatureVectors.withFeatures(pairs, specsFor(cfg.domain))
+      .drop(pairs.columns.toSeq.filter(c => c.startsWith("a_") || c.startsWith("b_")): _*)
     ERDataset(cfg.name, recs, withF, specsFor(cfg.domain), problemsOf(cfg))
   }
 }

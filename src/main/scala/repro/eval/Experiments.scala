@@ -108,9 +108,9 @@ object Experiments {
       (AlmserStandalone.run(spark, b.ds, b.initIds, b.unsolvedIds, budget, ALConfig(), seed).f1, budget)
     }
 
-  def runTransER(spark: SparkSession, b: Bundle, fraction: Double, seed: Long = 7): RunResult =
+  def runTransER(b: Bundle, fraction: Double, seed: Long = 7): RunResult =
     timedRun(s"TransER-${fractionTag(fraction)}", b, 0) {
-      (TransER.run(spark, b.ds, b.initIds, b.unsolvedIds, fraction, seed = seed).f1, 0)
+      (TransER.run(b.ds, b.initIds, b.unsolvedIds, fraction, seed = seed).f1, 0)
     }
 
   def runDitto(b: Bundle, fraction: Double, seed: Long = 7): RunResult =
@@ -170,7 +170,7 @@ object Experiments {
       } yield runMoRER(spark, b, al, budget, seed = seed)
       val almser = budgets.map(budget => runAlmserStandalone(spark, b, budget, seed))
       val others = Seq(
-        runTransER(spark, b, 1.0, seed), runTransER(spark, b, 0.5, seed),
+        runTransER(b, 1.0, seed), runTransER(b, 0.5, seed),
         runDitto(b, 1.0, seed), runDitto(b, 0.5, seed),
         runSudowoodo(b, budgets.head, seed),
         runAnyMatch(b, seed),

@@ -94,7 +94,7 @@ class BootstrapALSpec extends SparkSpec {
       def f1Of(train: IndexedSeq[repro.ml.PoolVector]): Double = {
         val m = RandomForest.fit(train.map(v => LabeledVector(v.features, v.oracleLabel)), seed = 5)
         val ds = TestData.camera
-        repro.core.ModelRepository.confusion(spark, ds, ds.problemIds, ds.problemIds.map(_ -> m).toMap).f1
+        repro.core.ModelRepository.confusion(ds, ds.problemIds, ds.problemIds.map(_ -> m).toMap).f1
       }
       val alF1 = f1Of(alSel)
       val rndF1 = f1Of(rnd)

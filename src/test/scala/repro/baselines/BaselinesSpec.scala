@@ -4,7 +4,7 @@ import org.apache.spark.sql.functions.{col, udf}
 import scala.util.Random
 import repro.{SparkSpec, TestData}
 import repro.al.{ALConfig, SparkJobs}
-import repro.erdata.ERDataset
+import repro.erdata.{ERDataset, MultiSourceGen}
 import repro.eval.{Metrics, SqlConfusion}
 import repro.eval.Metrics.Confusion
 import repro.ml.{MLP, TextFeatures}
@@ -22,11 +22,13 @@ class BaselinesSpec extends SparkSpec {
   }
   private lazy val totalUnsolved = ds.pairsOf(unsolved).count()
 
-  test("textPairs serializes both sides with the label") {
-    val tp = BaselineUtil.textPairs(ds.pairs).limit(5).collect()
-    tp.foreach { r =>
-      assert(r.getAs[String]("aText").nonEmpty || r.getAs[String]("bText").nonEmpty)
-      val l = r.getAs[Int]("label"); assert(l == 0 || l == 1)
+  test("recordText is the SQL serialization of both sides of every pair") {
+    val ref = SqlTextPairs.of(ds, ds.pairs).select("recA", "recB", "aText", "bText").collect()
+    assert(ref.length == ds.pairs.count())
+    val text = ds.recordText
+    ref.foreach { r =>
+      assert(text(r.getLong(0)) == r.getString(2), r)
+      assert(text(r.getLong(1)) == r.getString(3), r)
     }
   }
 
@@ -38,13 +40,13 @@ class BaselinesSpec extends SparkSpec {
   }
 
   test("TransER pseudo-labeling transfers to unsolved problems") {
-    val conf = TransER.run(spark, ds, init, unsolved, seed = 1)
+    val conf = TransER.run(ds, init, unsolved, seed = 1)
     assert(conf.total == totalUnsolved)
     assert(conf.f1 > 0.6, s"F1 ${conf.f1}")
   }
 
   test("TransER with 50% training data still runs") {
-    val conf = TransER.run(spark, ds, init, unsolved, trainFraction = 0.5, seed = 1)
+    val conf = TransER.run(ds, init, unsolved, trainFraction = 0.5, seed = 1)
     assert(conf.total == totalUnsolved)
     assert(conf.f1 > 0.5, s"F1 ${conf.f1}")
   }
@@ -105,7 +107,7 @@ class BaselinesSpec extends SparkSpec {
     * `score` column, a `pred` column and a SQL aggregate.
     */
   private def sqlConfusion(d: ERDataset, ids: Seq[String], score: (String, String) => Double, t: Double) =
-    SqlConfusion.of(BaselineUtil.textPairs(d.pairsOf(ids))
+    SqlConfusion.of(SqlTextPairs.of(d, d.pairsOf(ids))
       .withColumn("score", udf(score).apply(col("aText"), col("bText")))
       .withColumn("pred", (col("score") >= t).cast("int")))
 
@@ -120,7 +122,7 @@ class BaselinesSpec extends SparkSpec {
       TextFeatures.denseHashed(TextFeatures.tokens(b), BaselineUtil.Dim))
     for (d <- Seq(ds, TestData.music)) {
       val ids = d.problemIds.sorted
-      val rows = BaselineUtil.textPairs(d.pairsOf(ids.take(2))).limit(200).collect()
+      val rows = SqlTextPairs.of(d, d.pairsOf(ids.take(2))).limit(200).collect()
       val mlp = MLP.fitClassifier(
         rows.map(r => features(r.getAs[String]("aText"), r.getAs[String]("bText"))).toIndexedSeq,
         rows.map(_.getAs[Int]("label")).toIndexedSeq, hidden = 8, epochs = 2, lr = 0.1, seed = 1)
@@ -133,6 +135,49 @@ class BaselinesSpec extends SparkSpec {
         for (t <- Seq(0.0, 0.3, 0.5, 0.75, 1.0))
           assert(Confusion.at(scores, labels, t) == sqlConfusion(d, ids, score, t), s"${d.name}, $scoreName, $idsName, $t")
       }
+    }
+  }
+
+  /** `f` of the camera and the music corpus, each rebuilt and cached at
+    * every shuffle partition count of `counts`, with its initial and
+    * unsolved problems: this suite's split on camera, train and test on
+    * music. The results come per count, camera's then music's.
+    */
+  private def atPartitions[T](counts: Seq[Int])(f: (ERDataset, Seq[String], Seq[String]) => T): Seq[Seq[T]] = {
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    try counts.map { n =>
+      spark.conf.set(key, n.toLong)
+      Seq(TestData.tinyCameraConfig(), TestData.tinyMusicConfig()).map { cfg =>
+        val corpus = MultiSourceGen.generate(spark, cfg)
+        corpus.pairs.cache()
+        val split =
+          if (cfg.splitHalves) corpus.problems.partition(_.split == "train") match { case (a, b) => (a.map(_.id), b.map(_.id)) }
+          else (init, unsolved)
+        try f(corpus, split._1, split._2) finally corpus.pairs.unpersist()
+      }
+    } finally spark.conf.set(key, saved)
+  }
+
+  test("TransER and Sudowoodo do not depend on the shuffle partition count") {
+    val Seq(at64, at7) = atPartitions(Seq(64, 7)) { (d, train, test) =>
+      Seq(TransER.run(d, train, test, seed = 1), TransER.run(d, train, test, trainFraction = 0.5, seed = 1),
+        SudowoodoSim.run(d, train, test, budget = 100, epochs = 3, seed = 1))
+    }
+    assert(at64 == at7)
+  }
+
+  test("the text classifier's draw keeps the same pairs at any shuffle partition count") {
+    val draws = Seq((0.5, DittoSim.TrainCap), (1.0, 300))
+    val Seq(at64, at7) = atPartitions(Seq(64, 7)) { (d, train, _) =>
+      val pool = d.poolOf(train)
+      (pool.size, draws.map { case (fraction, cap) => BaselineUtil.draw(pool, fraction, cap, 1).map(v => (v.recA, v.recB)).toSet })
+    }
+    assert(at64 == at7)
+    // A capped draw keeps about cap pairs, and a fraction about that share.
+    for ((n, Seq(half, capped)) <- at64) {
+      assert(n > 600 && capped.size > 200 && capped.size < 400, s"${capped.size} of $n")
+      assert(math.abs(half.size - n / 2) < n / 10, s"${half.size} of $n")
     }
   }
 

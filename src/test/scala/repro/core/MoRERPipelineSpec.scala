@@ -207,7 +207,12 @@ class MoRERPipelineSpec extends SparkSpec {
     // The job is submitted over ds.pairRows, with no RDD built on top of it.
     assert(SparkJobs.rdds(spark) { ds.poolOf(split._1) } == Seq(ds.pairRows.id))
     assert(SparkJobs.rdds(spark) {
-      ModelRepository.confusion(spark, ds, split._2, Map.empty)
+      ModelRepository.confusion(ds, split._2, Map.empty)
+    } == Seq(ds.pairRows.id))
+    // The text baselines' scoring pass, once the record texts are computed.
+    ds.recordText
+    assert(SparkJobs.rdds(spark) {
+      repro.baselines.BaselineUtil.textScores(ds, split._2, (_, _) => 0.0)
     } == Seq(ds.pairRows.id))
   }
 

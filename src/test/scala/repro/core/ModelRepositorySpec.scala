@@ -17,7 +17,7 @@ class ModelRepositorySpec extends SparkSpec {
     val train = pool().limit(200).collect().toIndexedSeq
       .map(r => LabeledVector(r.getSeq[Double](3).toArray, r.getInt(4)))
     val m = RandomForest.fit(train, seed = 1)
-    val conf = ModelRepository.confusion(spark, TestData.camera, TestData.camera.problemIds, forEveryProblem(m))
+    val conf = ModelRepository.confusion(TestData.camera, TestData.camera.problemIds, forEveryProblem(m))
     assert(conf.total == TestData.camera.pairs.count())
   }
 
@@ -25,7 +25,7 @@ class ModelRepositorySpec extends SparkSpec {
     val train = pool().sample(0.3, seed = 1).collect().toIndexedSeq
       .map(r => LabeledVector(r.getSeq[Double](3).toArray, r.getInt(4)))
     val m = RandomForest.fit(train, seed = 2)
-    val conf = ModelRepository.confusion(spark, TestData.camera, TestData.camera.problemIds, forEveryProblem(m))
+    val conf = ModelRepository.confusion(TestData.camera, TestData.camera.problemIds, forEveryProblem(m))
     assert(conf.f1 > 0.9, s"F1 ${conf.f1}")
   }
 
@@ -35,14 +35,14 @@ class ModelRepositorySpec extends SparkSpec {
     def of(pid: String) = ds.pairsOf(Seq(pid))
     val labels = pids.map(p => p -> of(p).filter(col("label") === 1).count()).toMap
     val sizes = pids.map(p => p -> of(p).count()).toMap
-    val conf = ModelRepository.confusion(spark, ds, pids, Map(pids.head -> always(1), pids(1) -> always(0)))
+    val conf = ModelRepository.confusion(ds, pids, Map(pids.head -> always(1), pids(1) -> always(0)))
     // pids.head predicts match on every pair, pids(1) non-match on every pair
     assert(conf.tp == labels(pids.head) && conf.fp == sizes(pids.head) - labels(pids.head))
     assert(conf.fn == labels(pids(1)) && conf.tn == sizes(pids(1)) - labels(pids(1)))
   }
 
   test("confusion defaults problems without a model to non-match") {
-    val conf = ModelRepository.confusion(spark, TestData.camera, TestData.camera.problemIds, Map.empty)
+    val conf = ModelRepository.confusion(TestData.camera, TestData.camera.problemIds, Map.empty)
     assert(conf.tp == 0 && conf.fp == 0 && conf.total == TestData.camera.pairs.count())
   }
 
@@ -63,11 +63,11 @@ class ModelRepositorySpec extends SparkSpec {
     val modelSets = Seq("one model" -> forEveryProblem(RandomForest.fit(train, seed = 1)),
       "one model per problem" -> perProblem.toMap, "problems without a model" -> someMissing.toMap)
     for ((idsName, ids) <- idSets; (name, models) <- modelSets)
-      assert(ModelRepository.confusion(spark, ds, ids, models) == reference(ids, models), s"$name, $idsName")
+      assert(ModelRepository.confusion(ds, ids, models) == reference(ids, models), s"$name, $idsName")
   }
 
   test("confusion of no pairs is empty") {
-    assert(ModelRepository.confusion(spark, TestData.camera, Nil, forEveryProblem(always(1))) ==
+    assert(ModelRepository.confusion(TestData.camera, Nil, forEveryProblem(always(1))) ==
       repro.eval.Metrics.Confusion.empty)
   }
 

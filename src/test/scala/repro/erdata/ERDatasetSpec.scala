@@ -2,6 +2,7 @@ package repro.erdata
 
 import org.apache.spark.{SparkEnv, TaskContext}
 import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.functions.col
 import repro.{SparkSpec, TestData}
 import repro.core.ModelRepository
 import repro.eval.Metrics.Confusion
@@ -39,15 +40,25 @@ class ERDatasetSpec extends SparkSpec {
     assert(taskBinaryBytes(ds.pairs.select("problemId", "recA", "recB", "features", "label").queryExecution.toRdd) > 8192)
   }
 
+  test("the SQL pairRank equals the Scala pairRank on every camera pair") {
+    val ds = TestData.camera
+    for (seed <- Seq(1L, 7L)) {
+      val rows = ds.pairs.select(col("recA"), col("recB"), ERDataset.pairRank(seed)).collect()
+      assert(rows.length == ds.pairs.count())
+      val mismatches = rows.filterNot(r => r.getDouble(2) == ERDataset.pairRank(r.getLong(0), r.getLong(1), seed))
+      assert(mismatches.isEmpty, mismatches.take(5).mkString(", "))
+    }
+  }
+
   test("passes keep working after the pair table is unpersisted") {
     val ds = handMade((0 until 6).map(i => pair(s"p${i % 2}", i)), (6 until 9).map(pair("p2", _)))
     ds.pairs.cache()
     val always = Map("p0" -> RandomForest(IndexedSeq(Leaf(1.0))))
     val pool = ds.poolOf(Seq("p0", "p2"))
-    val conf = ModelRepository.confusion(spark, ds, Seq("p0", "p2"), always)
+    val conf = ModelRepository.confusion(ds, Seq("p0", "p2"), always)
     ds.pairs.unpersist(blocking = true)
     assert(rows(ds.poolOf(Seq("p0", "p2"))) == rows(pool))
-    assert(ModelRepository.confusion(spark, ds, Seq("p0", "p2"), always) == conf)
+    assert(ModelRepository.confusion(ds, Seq("p0", "p2"), always) == conf)
   }
 
   test("problems whose pairs interleave within and across partitions are read like a row-by-row filter") {
@@ -63,7 +74,7 @@ class ERDatasetSpec extends SparkSpec {
       val counted = want.foldLeft(Confusion.empty) { case (c, (pid, _, _, _, label)) =>
         c + (if (pid == "a") Confusion(label, 1 - label, 0, 0) else Confusion(0, 0, label, 1 - label))
       }
-      assert(ModelRepository.confusion(spark, ds, wanted, models) == counted, wanted)
+      assert(ModelRepository.confusion(ds, wanted, models) == counted, wanted)
     }
   }
 }

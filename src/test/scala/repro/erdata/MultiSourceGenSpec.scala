@@ -6,6 +6,12 @@ import scala.util.Random
 
 class MultiSourceGenSpec extends SparkSpec {
 
+  test("the pair table keeps no raw attributes") {
+    for (ds <- Seq(TestData.camera, TestData.music))
+      assert(ds.pairs.columns.toSeq == Seq("problemId", "srcA", "srcB", "split", "recA", "recB", "entA", "entB",
+        "label", "features"), ds.name)
+  }
+
   test("problemsOf counts match the paper topologies") {
     assert(MultiSourceGen.problemsOf(MultiSourceGen.dexterConfig(0.1)).size == 276)
     assert(MultiSourceGen.problemsOf(MultiSourceGen.wdcConfig(0.1)).size == 12)
