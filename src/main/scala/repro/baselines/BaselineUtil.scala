@@ -17,7 +17,7 @@ object BaselineUtil {
   val Hidden = 64
 
   /** `score(aText, bText)` and the label of every pair of the problems
-    * `ids`, in `pairsOf` order. One shuffle-free `PartitionJob` over
+    * `ids`, in `poolOf` order. One shuffle-free `PartitionJob` over
     * `ds.pairRows` skips the runs of other problems and scores the rest;
     * the record texts ship in the job's closure. `score` runs on the
     * executors, so it must be a serializable function value (not a method

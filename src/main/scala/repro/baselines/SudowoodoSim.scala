@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.functions._
 import scala.util.Random
 import repro.erdata.ERDataset
 import repro.eval.Metrics
@@ -18,6 +17,9 @@ import repro.ml.{MLP, TextFeatures}
   * as in the paper — and the single global representation is why it
   * degrades on heterogeneous multi-source data. The semi-supervised head
   * fits a similarity threshold with the same labeling budget MoRER gets.
+  * The corpus is every record's `ERDataset.recordText` in record-id
+  * order, so the encoder does not depend on how the records are
+  * partitioned.
   */
 object SudowoodoSim {
   val Dim = 256
@@ -34,10 +36,9 @@ object SudowoodoSim {
       epochs: Int = DefaultEpochs,
       seed: Long = 7,
   ): Confusion = {
-    // 1. Self-supervised corpus: every record's token stream.
-    val recs = ds.records
-      .select(concat_ws(" ", col("a1"), col("a2"), col("a3")) as "text")
-      .collect().map(_.getString(0))
+    // 1. Self-supervised corpus: every record's text, in record-id order.
+    val text = ds.recordText
+    val recs = text.keys.toArray.sorted.map(text)
     val tokenized = recs.map(TextFeatures.tokens)
     val dense = tokenized.map(t => TextFeatures.denseHashed(t, Dim))
     val rng = new Random(seed)
@@ -70,7 +71,6 @@ object SudowoodoSim {
     //    The labeled pairs are the `budget` lowest-ranked ones.
     val labeled = ds.poolOf(trainIds)
       .sortBy(v => (ERDataset.pairRank(v.recA, v.recB, seed), v.recA, v.recB)).take(budget)
-    val text = ds.recordText
     val t = threshold(labeled.map(v => sim(text(v.recA), text(v.recB))).toArray, labeled.map(_.oracleLabel).toArray)
 
     val (scores, labels) = BaselineUtil.textScores(ds, testIds, sim)

@@ -27,6 +27,11 @@ object Budget {
     * counts (Eqs. 6–7), then within each group proportionally to the
     * clusters' vector counts (Eq. 9). Budgets are capped at the cluster's
     * pool size (cannot label more pairs than exist).
+    *
+    * Each cluster's share of b_rem is floored, and the remainder is not
+    * handed out: when no cluster is capped by its pool, the budgets sum to
+    * more than b_tot − #clusters and at most b_tot. So a build over 3
+    * clusters at b_tot = 500 can spend 499 labels.
     */
   def distribute(clusters: Seq[ClusterInfo], bTot: Int, bMin: Int): Map[Int, Int] = {
     require(clusters.nonEmpty, "no clusters to distribute budget over")

@@ -73,7 +73,9 @@ final case class MoRERConfig(
     rfDepth: Int = 8,
     edgePolicy: ProblemGraph.EdgePolicy = ProblemGraph.AboveMean,
     seed: Long = 7,
-)
+) {
+  require(selection == "base" || selection == "cov", s"unknown selection $selection: base or cov")
+}
 
 final case class MoRERResult(confusion: Confusion, repo: Repository) {
   /** pooled F1 over all unsolved problems. */
@@ -244,7 +246,6 @@ object MoRER {
           (conf + c, r2)
         }
         MoRERResult(conf, r)
-      case other => throw new IllegalArgumentException(s"unknown selection $other")
     }
   }
 

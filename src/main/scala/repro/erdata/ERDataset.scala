@@ -1,9 +1,8 @@
 package repro.erdata
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.functions.{col, hash, lit, pmod}
 import org.apache.spark.unsafe.hash.Murmur3_x86_32
 import org.apache.spark.unsafe.types.UTF8String
 import repro.ml.PoolVector
@@ -52,10 +51,10 @@ final case class ERProblem(id: String, srcA: Int, srcB: Int, split: String)
   * `pairs` is unpersisted.
   *
   * The pool collects and the scoring passes, MoRER's and the baselines',
-  * read `pairRows`; the histograms keep their own scan of `pairs`, and
-  * TransER's kNN join stays a query. Every random draw of pairs keeps or
-  * orders them by `pairRank`, so which pairs a draw picks does not depend
-  * on the partition layout.
+  * and TransER's kNN pass read `pairRows`; only the histograms keep their
+  * own scan of `pairs`. Every random draw of pairs keeps or orders them by
+  * `pairRank`, so which pairs a draw picks does not depend on the
+  * partition layout.
   */
 final case class ERDataset(
     name: String,
@@ -66,9 +65,6 @@ final case class ERDataset(
 ) {
   def numFeatures: Int = specs.length
   def problemIds: Seq[String] = problems.map(_.id)
-
-  /** The candidate pairs of the problems `ids`. */
-  def pairsOf(ids: Seq[String]): DataFrame = pairs.filter(col("problemId").isin(ids: _*))
 
   /** The pairs as one `PairBlock` per partition of `pairs`, in partition
     * order: the blocks that pool draws and scoring read. They are built by
@@ -88,9 +84,10 @@ final case class ERDataset(
   }
 
   /** The pairs of the problems `ids` as driver-held pool vectors, in the
-    * table's order: the rows of `pairsOf(ids).collect()`. One shuffle-free
-    * Spark job, run directly on `pairRows` by `PartitionJob.run`, skips the
-    * runs of other problems and reads the rest.
+    * table's order: the rows of `pairs` whose problem is in `ids`, as a
+    * collect returns them. One shuffle-free Spark job, run directly on
+    * `pairRows` by `PartitionJob.run`, skips the runs of other problems and
+    * reads the rest.
     */
   def poolOf(ids: Seq[String]): IndexedSeq[PoolVector] = {
     val wanted = ids.toSet
@@ -127,12 +124,6 @@ object ERDataset {
     val h = Murmur3_x86_32.hashLong(recB, Murmur3_x86_32.hashLong(recA, Murmur3_x86_32.hashLong(seed, 42)))
     (h & 0xFFFFFFFFL).toDouble / 4294967296.0
   }
-
-  /** `pairRank` of a table's `recA` and `recB` columns, in SQL: Spark's
-    * `hash` is the same Murmur3 chain with seed 42.
-    */
-  def pairRank(seed: Long): Column =
-    pmod(hash(lit(seed), col("recA"), col("recB")), lit(1L << 32)) / lit(4294967296.0)
 }
 
 /** The pairs of one partition of `ERDataset.pairs`, column by column, in

@@ -20,7 +20,7 @@ class BaselinesSpec extends SparkSpec {
     val ids = new Random(3).shuffle(ds.problemIds.sorted.toVector)
     ids.splitAt(ids.size / 2)
   }
-  private lazy val totalUnsolved = ds.pairsOf(unsolved).count()
+  private lazy val totalUnsolved = SqlPairs.pairsOf(ds, unsolved).count()
 
   test("recordText is the SQL serialization of both sides of every pair") {
     val ref = SqlTextPairs.of(ds, ds.pairs).select("recA", "recB", "aText", "bText").collect()
@@ -49,6 +49,40 @@ class BaselinesSpec extends SparkSpec {
     val conf = TransER.run(ds, init, unsolved, trainFraction = 0.5, seed = 1)
     assert(conf.total == totalUnsolved)
     assert(conf.f1 > 0.5, s"F1 ${conf.f1}")
+  }
+
+  test("TransER equals the SQL query it replaced, field for field, on camera and music") {
+    val music = TestData.music
+    val (train, test) = music.problems.partition(_.split == "train")
+    for ((d, trainIds, testIds) <- Seq((ds, init, unsolved), (music, train.map(_.id), test.map(_.id)));
+         fraction <- Seq(1.0, 0.5); seed <- Seq(1L, 2L)) {
+      val conf = TransER.run(d, trainIds, testIds, fraction, seed)
+      assert(conf == SqlTransER.run(d, trainIds, testIds, fraction, seed), s"${d.name}, fraction $fraction, seed $seed")
+    }
+  }
+
+  test("TransER votes among the K nearest sources by (distance, label)") {
+    val target = Array(0.5, 0.5)
+    def rows(n: Int, x: Double) = Array.fill(n)(Array(x, 0.5)).flatten
+    def vote(nonMatches: Array[Double], matches: Array[Double]) =
+      TransER.vote(target, 0, 2, new TransER.Sources(nonMatches, matches))
+    // 8 matches and a non-match at distance 0; the 10th nearest is a tie at
+    // 0.0025 that the non-match wins, so 8 of 10 votes: no pseudo-label.
+    assert(vote(rows(1, 0.5) ++ rows(1, 0.55), rows(8, 0.5) ++ rows(1, 0.55)).isEmpty)
+    assert(vote(rows(1, 0.5) ++ rows(1, 0.6), rows(8, 0.5) ++ rows(1, 0.55)).contains(1))
+    assert(vote(rows(10, 0.5), rows(1, 0.9)).contains(0))
+    // conf 0.1 is above 1 - Tp (0.09999999999999998 in doubles).
+    assert(vote(rows(9, 0.5), rows(1, 0.5)).isEmpty)
+    // A bucket of fewer than K sources votes with all of them.
+    assert(vote(Array.empty, rows(3, 0.9)).contains(1))
+  }
+
+  test("TransER runs 3 Spark jobs and no SQL query") {
+    TransER.run(ds, init, unsolved, seed = 1)
+    val queries = SparkJobs.queries(spark) {
+      assert(SparkJobs.count(spark) { TransER.run(ds, init, unsolved, seed = 1) } == 3)
+    }
+    assert(queries == 0)
   }
 
   test("DittoSim learns the matching function from text") {
@@ -107,7 +141,7 @@ class BaselinesSpec extends SparkSpec {
     * `score` column, a `pred` column and a SQL aggregate.
     */
   private def sqlConfusion(d: ERDataset, ids: Seq[String], score: (String, String) => Double, t: Double) =
-    SqlConfusion.of(SqlTextPairs.of(d, d.pairsOf(ids))
+    SqlConfusion.of(SqlTextPairs.of(d, SqlPairs.pairsOf(d, ids))
       .withColumn("score", udf(score).apply(col("aText"), col("bText")))
       .withColumn("pred", (col("score") >= t).cast("int")))
 
@@ -122,7 +156,7 @@ class BaselinesSpec extends SparkSpec {
       TextFeatures.denseHashed(TextFeatures.tokens(b), BaselineUtil.Dim))
     for (d <- Seq(ds, TestData.music)) {
       val ids = d.problemIds.sorted
-      val rows = SqlTextPairs.of(d, d.pairsOf(ids.take(2))).limit(200).collect()
+      val rows = SqlTextPairs.of(d, SqlPairs.pairsOf(d, ids.take(2))).limit(200).collect()
       val mlp = MLP.fitClassifier(
         rows.map(r => features(r.getAs[String]("aText"), r.getAs[String]("bText"))).toIndexedSeq,
         rows.map(_.getAs[Int]("label")).toIndexedSeq, hidden = 8, epochs = 2, lr = 0.1, seed = 1)
@@ -131,7 +165,7 @@ class BaselinesSpec extends SparkSpec {
         "no ids" -> Nil)
       for ((scoreName, score) <- Seq("cosine" -> cosine, "MLP" -> prob); (idsName, ids) <- idSets) {
         val (scores, labels) = BaselineUtil.textScores(d, ids, score)
-        assert(scores.length == d.pairsOf(ids).count())
+        assert(scores.length == SqlPairs.pairsOf(d, ids).count())
         for (t <- Seq(0.0, 0.3, 0.5, 0.75, 1.0))
           assert(Confusion.at(scores, labels, t) == sqlConfusion(d, ids, score, t), s"${d.name}, $scoreName, $idsName, $t")
       }

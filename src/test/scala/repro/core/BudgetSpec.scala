@@ -1,5 +1,7 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Budget.ClusterInfo
 
@@ -110,5 +112,22 @@ class BudgetSpec extends AnyFunSuite {
         assert(v >= math.min(bMin.toLong, clusters.find(_.id == id).get.totalVectors))
       }
     }
+  }
+
+  test("property: uncapped budgets floor each share and hand out no remainder") {
+    // Every pool holds at least b_tot vectors, so no budget is capped.
+    val inputs = for {
+      n     <- Gen.choose(1, 12)
+      bMin  <- Gen.choose(1, 50)
+      bTot  <- Gen.choose(n * bMin, n * bMin + 5000)
+      sizes <- Gen.listOfN(n, Gen.zip(Gen.choose(1, 4), Gen.choose(bTot.toLong, bTot + 50000L)))
+    } yield (sizes.zipWithIndex.map { case ((p, v), i) => ClusterInfo(i, (0 until p).map(j => s"c${i}_$j"), v) },
+      bTot, bMin)
+    val params = Test.Parameters.default.withMinSuccessfulTests(500).withInitialSeed(Seed(4L))
+    val res = Test.check(params, Prop.forAll(inputs) { case (clusters, bTot, bMin) =>
+      val spent = Budget.distribute(clusters, bTot, bMin).values.sum
+      spent > bTot - clusters.size && spent <= bTot
+    })
+    assert(res.passed, res.status.toString)
   }
 }

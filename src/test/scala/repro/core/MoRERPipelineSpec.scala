@@ -2,6 +2,7 @@ package repro.core
 
 import scala.util.Random
 import repro.{SparkSpec, TestData}
+import repro.baselines.SqlPairs
 import repro.erdata.MultiSourceGen
 import repro.al.{ALConfig, ActiveLearner, AlmserAL, SelectionFingerprint, SparkJobs}
 
@@ -193,11 +194,17 @@ class MoRERPipelineSpec extends SparkSpec {
     assert(queries == repo.numClusters)
   }
 
+  test("an unknown selection is rejected when the config is built, before any Spark job") {
+    assert(SparkJobs.count(spark) {
+      assertThrows[IllegalArgumentException](MoRERConfig(selection = "Cov"))
+    } == 0)
+  }
+
   test("poolOf returns the rows of pairsOf(ids).collect(), in order") {
     def rows(vs: Seq[repro.ml.PoolVector]) = vs.map(v => (v.problemId, v.recA, v.recB, v.features.toSeq, v.oracleLabel))
     val music = TestData.music
     for (d <- Seq(ds, music); ids <- Seq(d.problemIds, d.problemIds.take(3), Seq("no such problem"), Nil)) {
-      val want = d.pairsOf(ids).select("problemId", "recA", "recB", "features", "label").collect().toSeq
+      val want = SqlPairs.pairsOf(d, ids).select("problemId", "recA", "recB", "features", "label").collect().toSeq
         .map(ActiveLearner.toPoolVector)
       assert(rows(d.poolOf(ids)) == rows(want), s"${d.name}: ${ids.size} ids")
     }

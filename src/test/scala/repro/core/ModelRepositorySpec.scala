@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestData}
+import repro.baselines.SqlPairs
 import repro.al.BootstrapAL
 import repro.ml.{LabeledVector, PoolVector, RandomForest}
 
@@ -32,7 +33,7 @@ class ModelRepositorySpec extends SparkSpec {
   test("confusion routes each problem to its own model") {
     val ds = TestData.camera
     val pids = ds.problemIds.take(2)
-    def of(pid: String) = ds.pairsOf(Seq(pid))
+    def of(pid: String) = SqlPairs.pairsOf(ds, Seq(pid))
     val labels = pids.map(p => p -> of(p).filter(col("label") === 1).count()).toMap
     val sizes = pids.map(p => p -> of(p).count()).toMap
     val conf = ModelRepository.confusion(ds, pids, Map(pids.head -> always(1), pids(1) -> always(0)))
@@ -56,7 +57,7 @@ class ModelRepositorySpec extends SparkSpec {
     def reference(ids: Seq[String], models: Map[String, RandomForest]) = {
       val b = spark.sparkContext.broadcast(models)
       val pred = udf((pid: String, f: Seq[Double]) => b.value.get(pid).map(_.predict(f.toArray)).getOrElse(0))
-      repro.eval.SqlConfusion.of(ds.pairsOf(ids).withColumn("pred", pred(col("problemId"), col("features"))))
+      repro.eval.SqlConfusion.of(SqlPairs.pairsOf(ds, ids).withColumn("pred", pred(col("problemId"), col("features"))))
     }
     val idSets = Seq("all ids" -> pids, "no ids" -> Nil,
       "a strict subset" -> pids.zipWithIndex.collect { case (p, i) if i % 2 == 1 => p })
@@ -105,7 +106,7 @@ class ModelRepositorySpec extends SparkSpec {
     val clusterOf = ds.problemIds.zipWithIndex.map { case (p, i) => p -> i % 3 }.toMap
     val ids = ds.problemIds.take(7)
     assert(ModelRepository.idfScores(ds.poolOf(ids), clusterOf) ==
-      ModelRepository.idfScores(spark, ds.pairsOf(ids), clusterOf))
+      ModelRepository.idfScores(spark, SqlPairs.pairsOf(ds, ids), clusterOf))
   }
 
   test("idfScores with no clusters is empty") {

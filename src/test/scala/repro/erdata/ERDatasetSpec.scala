@@ -4,6 +4,7 @@ import org.apache.spark.{SparkEnv, TaskContext}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.functions.col
 import repro.{SparkSpec, TestData}
+import repro.baselines.SqlPairs
 import repro.core.ModelRepository
 import repro.eval.Metrics.Confusion
 import repro.ml.{Leaf, RandomForest}
@@ -43,7 +44,7 @@ class ERDatasetSpec extends SparkSpec {
   test("the SQL pairRank equals the Scala pairRank on every camera pair") {
     val ds = TestData.camera
     for (seed <- Seq(1L, 7L)) {
-      val rows = ds.pairs.select(col("recA"), col("recB"), ERDataset.pairRank(seed)).collect()
+      val rows = ds.pairs.select(col("recA"), col("recB"), SqlPairs.pairRank(seed)).collect()
       assert(rows.length == ds.pairs.count())
       val mismatches = rows.filterNot(r => r.getDouble(2) == ERDataset.pairRank(r.getLong(0), r.getLong(1), seed))
       assert(mismatches.isEmpty, mismatches.take(5).mkString(", "))
